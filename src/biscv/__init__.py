@@ -16,7 +16,6 @@ from .catalog import (
     parse_spec,
 )
 from .envelope import (
-    EnvelopeRow,
     emit_envelope_table,
     f_lower,
     f_upper,
@@ -47,11 +46,8 @@ from .numerics import (
     BracketResult,
     QuadratureResult,
     bisect_boundary,
-    central_difference,
-    erf,
     integrate_adaptive,
     maximize_scalar,
-    reg_incomplete_beta,
 )
 from .shape import (
     Certificate,

@@ -33,10 +33,6 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 EXIT_USAGE = 64
 
-_DEFAULT_GRID_POINTS = shape.DEFAULT_GRID_POINTS
-_DEFAULT_EPS = shape.DEFAULT_EPS
-_DEFAULT_TOL = shape.DEFAULT_TOL
-
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 64."""
@@ -50,28 +46,36 @@ class _Parser(argparse.ArgumentParser):
 def _default_grid_points() -> int:
     raw = os.environ.get("BISCV_GRID_POINTS")
     if raw is None:
-        return _DEFAULT_GRID_POINTS
+        return shape.DEFAULT_GRID_POINTS
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise UsageError(f"BISCV_GRID_POINTS must be an integer, got {raw!r}")
-    return value
 
 
-def _add_common(p: argparse.ArgumentParser, need_s: bool = True) -> None:
-    p.add_argument("--dist", required=True, help="distribution spec string")
+def _add_common(p: argparse.ArgumentParser, need_dist: bool = True,
+                need_s: bool = True, need_grid: bool = True) -> None:
+    if need_dist:
+        p.add_argument("--dist", required=True, help="distribution spec string")
     if need_s:
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--s", type=float, help="concavity index s in (-1, inf]")
         g.add_argument("--s-star", type=float, dest="s_star",
                        help="transformed index s* in (-inf, 1]")
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--eps", type=float, default=_DEFAULT_EPS,
-                   help="quantile mass excluded per tail (default 1e-8)")
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                   help="checker tolerance (default 1e-9)")
+    if need_grid:
+        p.add_argument("--grid-points", type=int, default=None)
+        p.add_argument("--eps", type=float, default=shape.DEFAULT_EPS,
+                       help="quantile mass excluded per tail (default 1e-8)")
+        p.add_argument("--tol", type=float, default=shape.DEFAULT_TOL,
+                       help="checker tolerance (default 1e-9)")
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--output", default=None, help="output path (default stdout)")
+
+
+def _add_search(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lo", type=float, required=True)
+    p.add_argument("--hi", type=float, required=True)
+    p.add_argument("--search-tol", type=float, default=1e-3)
 
 
 def _build_parser() -> _Parser:
@@ -83,93 +87,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("iv", "iii", "midpoint", "all"),
                    default="all")
 
-    p = sub.add_parser("gamma", help="Csorgo-Revesz constants")
-    _add_common(p)
+    _add_common(sub.add_parser("gamma", help="Csorgo-Revesz constants"))
 
     p = sub.add_parser("max-s", help="supremal passing index by bisection")
     _add_common(p, need_s=False)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--search-tol", type=float, default=1e-3)
+    _add_search(p)
 
     p = sub.add_parser("threshold", help="mixture separation threshold")
     p.add_argument("--family", choices=("normmix", "tmix"), required=True)
     p.add_argument("--r", type=float, default=None)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--s", type=float)
-    g.add_argument("--s-star", type=float, dest="s_star")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--search-tol", type=float, default=1e-3)
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--eps", type=float, default=_DEFAULT_EPS)
-    p.add_argument("--tol", type=float, default=_DEFAULT_TOL)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--output", default=None)
+    _add_common(p, need_dist=False)
+    _add_search(p)
 
-    p = sub.add_parser("envelope", help="emit the envelope-bound table")
-    _add_common(p)
+    _add_common(sub.add_parser("envelope", help="emit the envelope-bound table"))
 
     p = sub.add_parser("fisher", help="Fisher-information chain report")
     _add_common(p)
     p.add_argument("--rel-tol", type=float, default=1e-8)
 
-    p = sub.add_parser("catalog", help="family metadata")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--output", default=None)
+    _add_common(sub.add_parser("catalog", help="family metadata"),
+                need_s=False, need_grid=False)
     return parser
-
-
-def _resolve_s(args) -> float:
-    if getattr(args, "s", None) is not None:
-        return float(args.s)
-    return shape.from_star(float(args.s_star)).s
-
-
-def _resolve_grid_points(args) -> int:
-    n = args.grid_points if args.grid_points is not None else _default_grid_points()
-    if n < 16:
-        raise UsageError("--grid-points must be >= 16")
-    return n
-
-
-def _validate_eps(eps: float) -> float:
-    if not 0.0 < eps < 0.1:
-        raise UsageError("--eps must lie in (0, 0.1)")
-    return eps
-
-
-def _config_dict(args, s: float | None, grid_points: int | None,
-                 fmt: str) -> dict:
-    idx = shape.to_index(s) if s is not None else None
-    return {
-        "s": None if idx is None else idx.s,
-        "s_star": None if idx is None else idx.s_star,
-        "grid_points": grid_points,
-        "eps": getattr(args, "eps", None),
-        "tol": getattr(args, "tol", None),
-        "format": fmt,
-    }
 
 
 def _encode_inf(v: float) -> float | str:
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v
-
-
-def _emit(text: str, args, stdout: IO[str]) -> None:
-    if getattr(args, "output", None) not in (None, "-"):
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        stdout.write(text)
-
-
-def _emit_json(doc: dict, args, stdout: IO[str]) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-          args, stdout)
 
 
 _METHODS = {
@@ -179,190 +123,121 @@ _METHODS = {
 }
 
 
-def _cmd_check(args, stdout: IO[str]) -> int:
-    d = catalog.parse_spec(args.dist)
-    s = _resolve_s(args)
-    n = _resolve_grid_points(args)
-    _validate_eps(args.eps)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise UsageError("check only supports --format json")
+# Each command computes its document body (a dict, or finished CSV text) and
+# whether it passed, from the resolved distribution, index s and grid size.
+
+def _check(args, d, s, n):
     grid = shape.make_grid(d, n, args.eps)
     names = ("iv", "iii", "midpoint") if args.method == "all" else (args.method,)
     certs = [_METHODS[m](d, s, grid, args.tol) for m in names]
     ok = all(c.passed for c in certs)
-    doc = {
-        "command": "check",
-        "dist": d.spec_string(),
-        "config": _config_dict(args, s, n, fmt),
-        "method": args.method,
-        "certificates": [c.to_dict() for c in certs],
-        "verdict": "pass" if ok else "fail",
-    }
-    _emit_json(doc, args, stdout)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return {"method": args.method,
+            "certificates": [c.to_dict() for c in certs],
+            "verdict": "pass" if ok else "fail"}, ok
 
 
-def _cmd_gamma(args, stdout: IO[str]) -> int:
-    d = catalog.parse_spec(args.dist)
-    s = _resolve_s(args)
-    n = _resolve_grid_points(args)
-    _validate_eps(args.eps)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise UsageError("gamma only supports --format json")
+def _gamma(args, d, s, n):
     grid = shape.make_grid(d, n, args.eps)
-    report = shape.cr_report(d, s, grid)
-    doc = {
-        "command": "gamma",
-        "dist": d.spec_string(),
-        "config": _config_dict(args, s, n, fmt),
-        "report": report.to_dict(),
-        "grid": {"count": grid.count, "eps": grid.eps},
-    }
-    _emit_json(doc, args, stdout)
-    return EXIT_PASS
+    return {"report": shape.cr_report(d, s, grid).to_dict(),
+            "grid": {"count": grid.count, "eps": grid.eps}}, True
 
 
-def _cmd_max_s(args, stdout: IO[str]) -> int:
-    d = catalog.parse_spec(args.dist)
-    n = _resolve_grid_points(args)
-    _validate_eps(args.eps)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise UsageError("max-s only supports --format json")
+def _max_s(args, d, s, n):
     grid = shape.make_grid(d, n, args.eps)
     value = shape.max_s(d, args.lo, args.hi, args.search_tol, grid, args.tol)
-    doc = {
-        "command": "max-s",
-        "dist": d.spec_string(),
-        "config": _config_dict(args, None, n, fmt),
-        "lo": args.lo,
-        "hi": args.hi,
-        "search_tol": args.search_tol,
-        "max_s": value,
-        "grid": grid.to_dict(),
-    }
-    _emit_json(doc, args, stdout)
-    return EXIT_PASS
+    return {"lo": args.lo, "hi": args.hi, "search_tol": args.search_tol,
+            "max_s": value, "grid": grid.to_dict()}, True
 
 
-def _cmd_threshold(args, stdout: IO[str]) -> int:
-    if args.family == "tmix" and args.r is None:
-        raise UsageError("--family tmix requires --r")
-    s = _resolve_s(args)
-    n = _resolve_grid_points(args)
-    _validate_eps(args.eps)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise UsageError("threshold only supports --format json")
+def _threshold(args, d, s, n):
     value = shape.delta_threshold(args.family, s, args.lo, args.hi,
-                                  args.search_tol, r=args.r,
-                                  grid_points=n, eps=args.eps,
-                                  check_tol=args.tol)
-    doc = {
-        "command": "threshold",
-        "family": args.family,
-        "r": args.r,
-        "config": _config_dict(args, s, n, fmt),
-        "lo": args.lo,
-        "hi": args.hi,
-        "search_tol": args.search_tol,
-        "delta_threshold": value,
-    }
-    _emit_json(doc, args, stdout)
-    return EXIT_PASS
+                                  args.search_tol, r=args.r, grid_points=n,
+                                  eps=args.eps, check_tol=args.tol)
+    return {"family": args.family, "r": args.r, "lo": args.lo, "hi": args.hi,
+            "search_tol": args.search_tol, "delta_threshold": value}, True
 
 
-def _cmd_envelope(args, stdout: IO[str]) -> int:
-    d = catalog.parse_spec(args.dist)
-    s = _resolve_s(args)
-    n = _resolve_grid_points(args)
-    _validate_eps(args.eps)
-    fmt = args.format or "csv"
+def _envelope(args, d, s, n):
     grid = shape.make_grid(d, n, args.eps)
-    rows = envelope.emit_envelope_table(d, s, grid)
-    if fmt == "csv":
+    columns = envelope.emit_envelope_table(d, s, grid)
+    if args.format != "json":
         buf = io.StringIO()
-        envelope.write_envelope_csv(rows, buf)
-        _emit(buf.getvalue(), args, stdout)
-    else:
-        doc = {
-            "command": "envelope",
-            "dist": d.spec_string(),
-            "config": _config_dict(args, s, n, fmt),
-            "rows": [{k: _encode_inf(v) for k, v in r.to_dict().items()}
-                     for r in rows],
-        }
-        _emit_json(doc, args, stdout)
-    return EXIT_PASS
+        envelope.write_envelope_csv(columns, buf)
+        return buf.getvalue(), True
+    names = envelope.CSV_HEADER.split(",")
+    cells = [[_encode_inf(v) for v in c.tolist()] for c in columns]
+    return {"rows": [dict(zip(names, row)) for row in zip(*cells)]}, True
 
 
-def _cmd_fisher(args, stdout: IO[str]) -> int:
-    d = catalog.parse_spec(args.dist)
-    s = _resolve_s(args)
-    n = _resolve_grid_points(args)
-    _validate_eps(args.eps)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise UsageError("fisher only supports --format json")
+def _fisher(args, d, s, n):
     report = fisher.check_fisher_chain(d, s, args.rel_tol, n, args.eps, args.tol)
-    doc = {
-        "command": "fisher",
-        "dist": d.spec_string(),
-        "config": _config_dict(args, s, n, fmt),
-        "rel_tol": args.rel_tol,
-        "report": report.to_dict(),
-    }
-    _emit_json(doc, args, stdout)
-    return EXIT_PASS if report.chain_holds else EXIT_FAIL
+    body = {"rel_tol": args.rel_tol, "report": report.to_dict()}
+    return body, report.chain_holds
 
 
-def _cmd_catalog(args, stdout: IO[str]) -> int:
-    d = catalog.parse_spec(args.dist)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise UsageError("catalog only supports --format json")
+def _catalog(args, d, s, n):
     sup = d.support()
     max_s = d.max_known_s()
-    if max_s is None:
-        max_s_doc: float | str = "unknown"
-    elif math.isinf(max_s):
-        max_s_doc = "inf"
-    else:
-        max_s_doc = max_s
     name, params = d.spec_parts()
     constants = {}
     if hasattr(d, "normalization"):
         constants["normalization"] = d.normalization
-    doc = {
-        "command": "catalog",
-        "dist": d.spec_string(),
-        "family": name,
-        "params": {k: v for k, v in params},
-        "support": {"lo": _encode_inf(sup.lo), "hi": _encode_inf(sup.hi)},
-        "max_known_s": max_s_doc,
-        "constants": constants,
-    }
-    _emit_json(doc, args, stdout)
-    return EXIT_PASS
+    return {"family": name,
+            "params": dict(params),
+            "support": {"lo": _encode_inf(sup.lo), "hi": _encode_inf(sup.hi)},
+            "max_known_s": "unknown" if max_s is None else _encode_inf(max_s),
+            "constants": constants}, True
 
 
+# name -> (compute, accepted formats; the first is the default)
 _COMMANDS = {
-    "check": _cmd_check,
-    "gamma": _cmd_gamma,
-    "max-s": _cmd_max_s,
-    "threshold": _cmd_threshold,
-    "envelope": _cmd_envelope,
-    "fisher": _cmd_fisher,
-    "catalog": _cmd_catalog,
+    "check": (_check, ("json",)),
+    "gamma": (_gamma, ("json",)),
+    "max-s": (_max_s, ("json",)),
+    "threshold": (_threshold, ("json",)),
+    "envelope": (_envelope, ("csv", "json")),
+    "fisher": (_fisher, ("json",)),
+    "catalog": (_catalog, ("json",)),
 }
 
 
-def _emit_error(exc: BiscvError, args, stdout: IO[str]) -> None:
-    doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _emit(text, args, stdout)
+def _execute(args) -> tuple[dict | str, int]:
+    """Resolve the options the command declares, in a fixed order (spec, s,
+    grid points, eps, format), then compute its document."""
+    compute, formats = _COMMANDS[args.command]
+    d = catalog.parse_spec(args.dist) if "dist" in args else None
+    if "family" in args and args.family == "tmix" and args.r is None:
+        raise UsageError("--family tmix requires --r")
+    s = n = None
+    if "s" in args:
+        s = args.s if args.s is not None else shape.from_star(args.s_star).s
+    if "grid_points" in args:
+        n = args.grid_points
+        if n is None:
+            n = _default_grid_points()
+        if n < 16:
+            raise UsageError("--grid-points must be >= 16")
+        if not 0.0 < args.eps < 0.1:
+            raise UsageError("--eps must lie in (0, 0.1)")
+        if 1.0 - args.eps == 1.0:
+            raise UsageError("--eps is too small: 1 - eps rounds to 1")
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise UsageError(f"{args.command} only supports --format json")
+    body, passed = compute(args, d, s, n)
+    code = EXIT_PASS if passed else EXIT_FAIL
+    if isinstance(body, str):
+        return body, code
+    doc = {"command": args.command, **body}
+    if d is not None:
+        doc["dist"] = d.spec_string()
+    if n is not None:
+        idx = shape.to_index(s) if s is not None else None
+        doc["config"] = {"s": None if idx is None else idx.s,
+                         "s_star": None if idx is None else idx.s_star,
+                         "grid_points": n, "eps": args.eps, "tol": args.tol,
+                         "format": fmt}
+    return doc, code
 
 
 def run(argv: list[str], stdout: IO[str] | None = None,
@@ -373,21 +248,25 @@ def run(argv: list[str], stdout: IO[str] | None = None,
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     args = None
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, stdout)
+        args = _build_parser().parse_args(argv)
+        out, code = _execute(args)
     except UsageError as exc:
         stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except PreconditionError as exc:
-        # a refused mathematical hypothesis is a mathematical failure
-        _emit_error(exc, args, stdout)
-        return EXIT_FAIL
     except BiscvError as exc:
-        _emit_error(exc, args, stdout)
-        return EXIT_ERROR
+        # a refused mathematical hypothesis is a mathematical failure
+        code = EXIT_FAIL if isinstance(exc, PreconditionError) else EXIT_ERROR
+        out = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if isinstance(out, dict):
+        out = json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if getattr(args, "output", None) not in (None, "-"):
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(out)
+    else:
+        stdout.write(out)
+    return code
 
 
 def main() -> None:

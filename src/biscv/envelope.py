@@ -19,14 +19,11 @@ and the density derivative is confined to the corridor
 At s = 0 the expm1 forms reduce exactly to the logarithmic limits
 F_U = -log(1-F), F_L = 1 + log F, so the family is continuous across s = 0.
 Values are reported unclamped: F_U may exceed 1 (recorded as written, +inf
-where the bound is vacuous); the clamped min(F_U, 1) is available as
-``EnvelopeRow.fu_clamped`` for plotting but is not part of the CSV schema.
+where the bound is vacuous).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -36,7 +33,6 @@ from .errors import DomainError
 from .shape import Grid, reverse_s_star_hazard, s_star_hazard, to_index
 
 __all__ = [
-    "EnvelopeRow",
     "f_upper",
     "f_lower",
     "fu_prime",
@@ -49,32 +45,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "x,F,F_L,F_U,f,FL_prime,FU_prime,f_prime,fp_lo,fp_hi"
-
-
-@dataclass(frozen=True)
-class EnvelopeRow:
-    """One grid abscissa with the distribution and all bound values."""
-
-    x: float
-    F: float
-    F_L: float
-    F_U: float
-    f: float
-    FL_prime: float
-    FU_prime: float
-    f_prime: float
-    fp_lo: float
-    fp_hi: float
-
-    @property
-    def fu_clamped(self) -> float:
-        return min(self.F_U, 1.0)
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "F": self.F, "F_L": self.F_L, "F_U": self.F_U,
-                "f": self.f, "FL_prime": self.FL_prime,
-                "FU_prime": self.FU_prime, "f_prime": self.f_prime,
-                "fp_lo": self.fp_lo, "fp_hi": self.fp_hi}
 
 
 def _require_inside(d: Distribution, x) -> None:
@@ -185,8 +155,9 @@ def pointwise_band(d: Distribution, s: float, x, t):
 
 
 def emit_envelope_table(d: Distribution, s: float,
-                        grid: Grid) -> list[EnvelopeRow]:
-    """One EnvelopeRow per grid point, strictly increasing in x."""
+                        grid: Grid) -> tuple[np.ndarray, ...]:
+    """The table as one array per CSV_HEADER column, in header order; rows
+    follow the grid, strictly increasing in x."""
     to_index(s)
     pts = grid.points
     F = d.cdf(pts)
@@ -197,24 +168,13 @@ def emit_envelope_table(d: Distribution, s: float,
     FUp = fu_prime(d, s, pts)
     FLp = fl_prime(d, s, pts)
     lo, hi = fprime_corridor(d, s, pts)
-    return [EnvelopeRow(x=float(pts[i]), F=float(F[i]), F_L=float(FL[i]),
-                        F_U=float(FU[i]), f=float(f[i]),
-                        FL_prime=float(FLp[i]), FU_prime=float(FUp[i]),
-                        f_prime=float(fp[i]), fp_lo=float(lo[i]),
-                        fp_hi=float(hi[i]))
-            for i in range(grid.count)]
+    return pts, F, FL, FU, f, FLp, FUp, fp, lo, hi
 
 
-def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return "%.17g" % v
-
-
-def write_envelope_csv(rows: Sequence[EnvelopeRow], stream: IO[str]) -> None:
-    """Emit the table with the fixed header and 17-significant-digit floats."""
+def write_envelope_csv(columns: Sequence[np.ndarray], stream: IO[str]) -> None:
+    """Emit the table with the fixed header and 17-significant-digit floats
+    (infinities print as inf and -inf)."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(c.tolist() for c in columns))
     stream.write(CSV_HEADER + "\n")
-    for r in rows:
-        stream.write(",".join(_fmt(v) for v in (
-            r.x, r.F, r.F_L, r.F_U, r.f, r.FL_prime, r.FU_prime,
-            r.f_prime, r.fp_lo, r.fp_hi)) + "\n")
+    stream.write("".join(line % row for row in rows))

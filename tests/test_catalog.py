@@ -17,10 +17,10 @@ from biscv import (
     StudentT,
     TMixture,
     Uniform,
-    central_difference,
     integrate_adaptive,
     parse_spec,
 )
+from conftest import central_difference
 
 ALL_MEMBERS = [
     StudentT(0.5), StudentT(1.0), StudentT(4.0),

@@ -106,11 +106,21 @@ def test_exit_one_on_bad_spec_string():
      "--lo", "1", "--hi", "2"),                        # tmix without --r
     ("gamma", "--dist", "t:r=1", "--s", "0", "--format", "csv"),
     ("check", "--dist", "t:r=1", "--s", "0", "--eps", "0.5"),
+    ("check", "--dist", "norm", "--s", "0", "--eps", "1e-300"),  # 1 - eps == 1
+    ("check", "--dist", "t:r=1", "--s", "0", "--format", "csv"),
+    ("max-s", "--dist", "t:r=1", "--lo", "-0.9", "--hi", "0",
+     "--format", "csv"),
+    ("threshold", "--family", "normmix", "--s", "0",
+     "--lo", "1", "--hi", "2", "--format", "csv"),
+    ("fisher", "--dist", "norm", "--s", "0", "--format", "csv"),
+    ("catalog", "--dist", "t:r=1", "--format", "csv"),
 ])
 def test_exit_usage(argv):
     code, _, err = run(*argv)
     assert code == 64
     assert err.strip()
+    if "--eps" in argv:
+        assert "--eps" in err
 
 
 # ------------------------------------------------------------------- commands

@@ -220,13 +220,14 @@ def test_envelope_seam_across_zero(d):
 def test_envelope_table_and_csv():
     d = StudentT(1.0)
     g = make_grid(d, 64, 1e-6)
-    rows = emit_envelope_table(d, -0.5, g)
-    assert len(rows) == 64
-    xs = [r.x for r in rows]
-    assert xs == sorted(xs)
-    assert all(r.fp_lo < 0.0 < r.fp_hi for r in rows)
+    cols = emit_envelope_table(d, -0.5, g)
+    assert len(cols) == len(CSV_HEADER.split(","))
+    assert all(c.shape == (64,) for c in cols)
+    x, F_U, fp_lo, fp_hi = cols[0], cols[3], cols[8], cols[9]
+    assert np.all(np.diff(x) > 0.0)
+    assert np.all((fp_lo < 0.0) & (fp_hi > 0.0))
     buf = io.StringIO()
-    write_envelope_csv(rows, buf)
+    write_envelope_csv(cols, buf)
     text = buf.getvalue()
     lines = text.split("\n")
     assert lines[0] == CSV_HEADER
@@ -234,12 +235,5 @@ def test_envelope_table_and_csv():
     assert len(lines) == 66 and lines[-1] == ""
     # 17-significant-digit round trip
     first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == rows[0].x
-    assert first[3] == rows[0].F_U
-
-
-def test_envelope_row_clamped_helper():
-    row = bv.EnvelopeRow(x=0.0, F=0.5, F_L=0.0, F_U=1.7, f=0.3,
-                         FL_prime=1.0, FU_prime=1.0, f_prime=0.0,
-                         fp_lo=-1.0, fp_hi=1.0)
-    assert row.fu_clamped == 1.0
+    assert first[0] == x[0]
+    assert first[3] == F_U[0]

@@ -15,13 +15,11 @@ from biscv import (
     StudentT,
     SphericalPower,
     bisect_boundary,
-    central_difference,
-    erf,
     integrate_adaptive,
     maximize_scalar,
-    reg_incomplete_beta,
 )
 from biscv.shape import cr
+from conftest import central_difference
 
 
 # ---------------------------------------------------------------- quadrature
@@ -101,63 +99,6 @@ def test_quadrature_linearity_on_catalog_densities(d, lo, hi):
     base = integrate_adaptive(d.pdf, lo, hi, 1e-12).value
     scaled = integrate_adaptive(lambda x: alpha * d.pdf(x), lo, hi, 1e-12).value
     assert scaled == pytest.approx(alpha * base, rel=1e-12)
-
-
-# ---------------------------------------------------- regularized incomplete beta
-
-def test_beta_full_mass():
-    assert reg_incomplete_beta(2.3, 4.5, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_beta_symmetry_at_half():
-    assert reg_incomplete_beta(3.2, 3.2, 0.5) == pytest.approx(0.5, rel=1e-13)
-
-
-def test_beta_closed_form():
-    # I_x(1, 2) = 1 - (1-x)^2
-    x = 0.5
-    assert reg_incomplete_beta(1.0, 2.0, x) == pytest.approx(
-        1.0 - (1.0 - x) ** 2, rel=1e-13)
-
-
-def test_beta_complement_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a, b = rng.uniform(0.1, 50.0, size=2)
-        x = rng.uniform(0.0, 1.0)
-        lhs = reg_incomplete_beta(a, b, x)
-        rhs = 1.0 - reg_incomplete_beta(b, a, 1.0 - x)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
-
-
-def test_beta_monotone_in_x():
-    xs = np.linspace(0.0, 1.0, 1000)
-    for a, b in ((0.5, 0.5), (2.0, 5.0), (30.0, 1.5)):
-        vals = reg_incomplete_beta(a, b, xs)
-        assert np.all(np.diff(vals) >= 0.0)
-
-
-def test_beta_domain_errors():
-    with pytest.raises(DomainError):
-        reg_incomplete_beta(0.0, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        reg_incomplete_beta(1.0, 1.0, 1.5)
-
-
-# ----------------------------------------------------------------------- erf
-
-def test_erf_values():
-    assert erf(0.0) == 0.0
-    assert erf(math.inf) == 1.0
-    # series value: sum (-1)^n x^(2n+1) / (n! (2n+1)) * 2/sqrt(pi) at x=1
-    assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-15)
-
-
-def test_erf_odd_and_accurate():
-    xs = np.linspace(-6.0, 6.0, 101)
-    assert np.all(erf(-xs) == -erf(xs))
-    for x in (-2.0, -0.3, 0.7, 3.1):
-        assert erf(x) == pytest.approx(math.erf(x), abs=1e-14)
 
 
 # ----------------------------------------------------------- maximize_scalar
