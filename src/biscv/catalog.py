@@ -22,6 +22,13 @@ NormalMixture(delta)  0.5 N(-delta, 1) + 0.5 N(delta, 1); maximal s unknown.
 TMixture(r, delta)    0.5 t_r(. - delta) + 0.5 t_r(. + delta); unknown.
 ====================  ==========================================================
 
+Each family inverts its own cdf: Normal by ``ndtri``, StudentT by
+``stdtrit``, FDist and SphericalPower by ``betaincinv``, Pareto and Uniform
+in closed form.  The two mixtures run a safeguarded Newton iteration inside
+the bracket q_c(p) -+ delta, where q_c is the component quantile.  Upper
+tails are inverted through 1 - F, or by symmetry, never through a cdf
+value rounded near 1.
+
 All evaluators accept scalars or numpy arrays and are pure; instances are
 immutable, so concurrent grid sweeps are safe.
 """
@@ -72,8 +79,16 @@ def _finite(value: float, name: str) -> None:
              f"{name} must be a finite number")
 
 
+def _reflected(p: np.ndarray, lower_quantile) -> np.ndarray:
+    """Quantile of a law symmetric about 0 from its lower half alone:
+    q(p) = -q(1 - p) for p > 1/2, where 1 - p is exact."""
+    x = lower_quantile(np.minimum(p, 1.0 - p))
+    return np.where(p > 0.5, -x, x)
+
+
 class Distribution(ABC):
-    """Base class wiring scalar/array dispatch and the generic quantile."""
+    """Base class wiring scalar/array dispatch and the quantile's domain
+    check; each family supplies ``_quantile``."""
 
     # -- public evaluators -------------------------------------------------
     def pdf(self, x):
@@ -106,15 +121,18 @@ class Distribution(ABC):
         return None
 
     def quantile(self, p):
-        """Inverse of the cdf, by monotone bisection (200-iteration cap)."""
+        """Inverse of the cdf on (0, 1), from the family's own inverse.
+
+        J(F) is open, so a value that rounds onto a finite end of the
+        support is moved to the nearest double inside it.
+        """
         arr = np.asarray(p, dtype=float)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        if not np.all((arr > 0.0) & (arr < 1.0)):
             raise DomainError("p must lie strictly inside (0, 1)")
-        flat = np.atleast_1d(arr)
-        out = self._quantile_bisect(flat)
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        sup = self.support()
+        lo = sup.lo if math.isinf(sup.lo) else math.nextafter(sup.lo, math.inf)
+        hi = sup.hi if math.isinf(sup.hi) else math.nextafter(sup.hi, -math.inf)
+        return self._dispatch(lambda q: np.clip(self._quantile(q), lo, hi), arr)
 
     def spec_string(self) -> str:
         """Canonical spec string that parse_spec() maps back to this object."""
@@ -130,38 +148,6 @@ class Distribution(ABC):
             return float(out[0])
         return out.reshape(arr.shape)
 
-    def _quantile_bisect(self, p: np.ndarray) -> np.ndarray:
-        sup = self.support()
-        pmin = float(np.min(p))
-        pmax = float(np.max(p))
-        if math.isfinite(sup.lo):
-            lo = sup.lo
-        else:
-            lo = -1.0
-            for _ in range(1100):
-                if float(self._cdf(np.array([lo]))[0]) < pmin or lo <= -1e308:
-                    break
-                lo *= 2.0
-        if math.isfinite(sup.hi):
-            hi = sup.hi
-        else:
-            hi = 1.0
-            for _ in range(1100):
-                if float(self._cdf(np.array([hi]))[0]) > pmax or hi >= 1e308:
-                    break
-                hi *= 2.0
-        los = np.full_like(p, lo)
-        his = np.full_like(p, hi)
-        for _ in range(200):
-            mid = 0.5 * (los + his)
-            below = self._cdf(mid) < p
-            los = np.where(below, mid, los)
-            his = np.where(below, his, mid)
-            if np.all(his - los <= 4.0 * np.finfo(float).eps
-                      * np.maximum(1.0, np.abs(los))):
-                break
-        return 0.5 * (los + his)
-
     @abstractmethod
     def _pdf(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -173,6 +159,9 @@ class Distribution(ABC):
 
     @abstractmethod
     def _sf(self, x: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def _quantile(self, p: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
     def spec_parts(self) -> tuple[str, list[tuple[str, float]]]:
@@ -222,6 +211,11 @@ class StudentT(Distribution):
 
     def _sf(self, x):
         return self._cdf(-x)
+
+    def _quantile(self, p):
+        # stdtrit loses ~1e-9 relative in the upper tail, where it works from
+        # 1 - p; the density is even, so invert the lower tail and reflect
+        return _reflected(p, lambda lower: _sps.stdtrit(self.r, lower))
 
     def support(self) -> Support:
         return Support(-math.inf, math.inf)
@@ -286,6 +280,19 @@ class FDist(Distribution):
         val = _sps.betainc(a / 2.0, b / 2.0, a / (a + b * xs))
         return np.where(pos, val, 1.0)
 
+    def _quantile(self, p):
+        # invert F on the lower half and 1 - F on the upper half, so that
+        # neither tail goes through a value rounded near 1
+        a, b = self.a, self.b
+        out = np.empty_like(p)
+        low = p <= 0.5
+        y = _sps.betaincinv(b / 2.0, a / 2.0, p[low])  # y = bx / (a + bx)
+        z = _sps.betaincinv(a / 2.0, b / 2.0, 1.0 - p[~low])  # z = a / (a + bx)
+        with np.errstate(divide="ignore", over="ignore"):  # y = 1 or z = 0: inf
+            out[low] = a * y / (b * (1.0 - y))
+            out[~low] = a * (1.0 - z) / (b * z)
+        return out
+
     def support(self) -> Support:
         return Support(0.0, math.inf)
 
@@ -335,6 +342,10 @@ class Pareto(Distribution):
         inside = x > self.b
         xs = np.where(inside, x, self.b)
         return np.where(inside, np.exp(-self.a * np.log(xs / self.b)), 1.0)
+
+    def _quantile(self, p):
+        with np.errstate(over="ignore"):  # a tiny a overflows to +inf
+            return self.b * np.exp(-np.log1p(-p) / self.a)
 
     def support(self) -> Support:
         return Support(self.b, math.inf)
@@ -399,6 +410,11 @@ class SphericalPower(Distribution):
     def _sf(self, x):
         return self._cdf(-x)
 
+    def _quantile(self, p):
+        a = self.r / 2.0 + 1.0
+        return _reflected(p, lambda lower: self._edge
+                          * (2.0 * _sps.betaincinv(a, a, lower) - 1.0))
+
     def support(self) -> Support:
         return Support(-self._edge, self._edge)
 
@@ -430,7 +446,8 @@ class Normal(Distribution):
 
     def _pdf(self, x):
         z = self._z(x)
-        return np.exp(-0.5 * z * z - _LOG_SQRT_2PI) / self.sigma
+        with np.errstate(over="ignore"):  # z * z = inf far out: exp gives 0
+            return np.exp(-0.5 * z * z - _LOG_SQRT_2PI) / self.sigma
 
     def _pdf_deriv(self, x):
         return -self._z(x) / self.sigma * self._pdf(x)
@@ -440,6 +457,9 @@ class Normal(Distribution):
 
     def _sf(self, x):
         return 0.5 * _sps.erfc(self._z(x) / _SQRT2)
+
+    def _quantile(self, p):
+        return self.mu + self.sigma * _sps.ndtri(p)
 
     def support(self) -> Support:
         return Support(-math.inf, math.inf)
@@ -476,6 +496,9 @@ class Uniform(Distribution):
     def _sf(self, x):
         return np.clip((self.hi - x) / (self.hi - self.lo), 0.0, 1.0)
 
+    def _quantile(self, p):
+        return self.lo + p * (self.hi - self.lo)
+
     def support(self) -> Support:
         return Support(self.lo, self.hi)
 
@@ -484,6 +507,14 @@ class Uniform(Distribution):
 
     def spec_parts(self):
         return "unif", [("lo", self.lo), ("hi", self.hi)]
+
+
+# Newton needs at most ~25 steps on the mixtures tried; the cap only bounds
+# a point that keeps bisecting
+_NEWTON_CAP = 100
+# a residual |F(x) - p| within one rounding of p is noise: no nearer x can
+# be told apart by F, and a Newton step computed from it would only wander
+_F_NOISE = float(np.finfo(float).eps)
 
 
 class _HalfHalfMixture(Distribution):
@@ -507,6 +538,44 @@ class _HalfHalfMixture(Distribution):
     def _sf(self, x):
         c = self._component
         return 0.5 * (c._sf(x - self.delta) + c._sf(x + self.delta))
+
+    def _quantile(self, p):
+        # the component is symmetric about 0, so 1 - F(x) = F(-x) exactly
+        return _reflected(p, self._lower_quantile)
+
+    def _lower_quantile(self, p):
+        """Safeguarded Newton on F - p for p <= 1/2, each point on its own.
+
+        F(x) lies between the component cdfs at x - delta and x + delta, so
+        the root lies in [q_c(p) - delta, q_c(p) + delta].  Each step shrinks
+        that bracket, and a Newton step that leaves it is replaced by
+        bisection.  A point stops once its step is a few ulps or its
+        residual is down to the rounding of F.
+        """
+        qc = self._component._quantile(p)
+        lo, hi = qc - self.delta, qc + self.delta
+        # F is convex in the lower tail: Newton from above does not overshoot
+        x = hi.copy()
+        out = np.empty_like(p)
+        todo = np.arange(p.size)
+        for _ in range(_NEWTON_CAP):
+            g = self._cdf(x) - p
+            lo = np.where(g < 0.0, x, lo)
+            hi = np.where(g > 0.0, x, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x - g / self._pdf(x)
+            inside = ((newton > lo) & (newton < hi)) | (newton == x)
+            nxt = np.where(inside, newton, 0.5 * (lo + hi))
+            quiet = np.abs(g) <= _F_NOISE * p
+            done = quiet | (np.abs(nxt - x) <= 4.0 * np.spacing(np.abs(x)))
+            out[todo[done]] = np.where(quiet, x, nxt)[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            todo, p, x, lo, hi = (todo[keep], p[keep], nxt[keep], lo[keep],
+                                  hi[keep])
+        out[todo] = x
+        return out
 
     def support(self) -> Support:
         return Support(-math.inf, math.inf)

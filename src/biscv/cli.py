@@ -39,6 +39,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: "max-s ... --s 0" must not set --search-tol
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # route argparse errors to exit 64
         raise UsageError(message)
 

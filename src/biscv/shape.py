@@ -144,13 +144,29 @@ class Grid:
 
 def make_grid(d: Distribution, n: int = DEFAULT_GRID_POINTS,
               eps: float = DEFAULT_EPS) -> Grid:
-    """Quantile-spaced grid of n points on [eps, 1-eps]."""
+    """Quantile-spaced grid of n points on [eps, 1-eps].
+
+    Raises DomainError when a tail point is beyond double precision: its
+    quantile is not finite, or the square of its density, which the
+    checkers divide by, leaves the normal double range.
+    """
     if n < 3:
         raise DomainError("n must be >= 3")
     if not 0.0 < eps < 0.1:
         raise DomainError("eps must lie in (0, 0.1)")
     p = np.linspace(eps, 1.0 - eps, n)
-    return Grid(points=d.quantile(p), eps=eps)
+    points = d.quantile(p)
+    with np.errstate(over="ignore"):
+        f2 = d.pdf(points) ** 2
+    bad = ~(np.isfinite(points) & np.isfinite(f2)
+            & (f2 >= np.finfo(float).tiny))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"the grid point at p={float(p[i])!r} is x={float(points[i])!r}, "
+            f"where the point or its squared density is beyond double "
+            f"precision; use a larger eps (--eps)")
+    return Grid(points=points, eps=eps)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ reference that does not go through ``biscv.catalog``; see README.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -110,6 +111,26 @@ def _tmix_corridor_cr(x, delta):
     fp = _tmix_pdf_deriv(x, delta)
     return np.minimum(_tmix_sf(x, delta) * fp,
                       -_tmix_cdf(x, delta) * fp) / (f * f)
+
+
+def _tmix_corridor_cr_exact(x, delta):
+    """_tmix_corridor_cr at 40 digits, one value per point of ``x``.
+
+    Next to -2 the float64 form cannot decide the sign of CR + 2: at the
+    first delta = 0.57 grid point (x ~ -3.2e7) the tail term
+    2(1/3 - delta^2)/x^2 is 1.7e-17, below the rounding of -2."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(delta)
+        two_pi = 2 * mpmath.pi
+        out = []
+        for xi in np.atleast_1d(x):
+            u, v = mpmath.mpf(float(xi)) - d, mpmath.mpf(float(xi)) + d
+            F = (mpmath.atan2(1, -u) + mpmath.atan2(1, -v)) / two_pi
+            S = (mpmath.atan2(1, u) + mpmath.atan2(1, v)) / two_pi
+            f = (1 / (1 + u * u) + 1 / (1 + v * v)) / two_pi
+            fp = -2 * (u / (1 + u * u) ** 2 + v / (1 + v * v) ** 2) / two_pi
+            out.append(min(S * fp, -F * fp) / (f * f))
+    return out
 
 
 # -------------------------------------------------------------- criterion 1
@@ -237,8 +258,8 @@ def test_criterion_04_t_mixture_threshold_UNATTAINABLE():
             f"{float(_tmix_corridor_cr(w, delta)):.6f}, not below -2")
     # the closed form brackets delta* on its own: its grid minimum stays
     # above -2 at 0.57, and the tail term changes sign between the two
-    assert np.min(_tmix_corridor_cr(grid_for(TMixture(1.0, 0.57)).points,
-                                    0.57)) >= -2.0
+    assert min(_tmix_corridor_cr_exact(grid_for(TMixture(1.0, 0.57)).points,
+                                       0.57)) >= -2.0
     assert (_tmix_corridor_cr(100.0, 0.57) > -2.0
             > _tmix_corridor_cr(100.0, 0.58))
     assert 0.57 < delta_star < 0.58

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -168,11 +169,120 @@ def test_quantile_inverts_cdf(d):
     np.testing.assert_allclose(d.cdf(q), p, rtol=0, atol=1e-10)
 
 
+# Test-local mpmath distribution functions: (F, 1 - F) for each family,
+# written from the textbook forms and not from biscv.catalog.
+
+def _mp_t_cdf(x, r):
+    tail = mpmath.betainc(r / 2, mpmath.mpf(1) / 2, 0, r / (r + x * x),
+                          regularized=True) / 2
+    return tail if x <= 0 else 1 - tail
+
+
+def _mp_cdf_sf(d):
+    mpf = mpmath.mpf
+    if isinstance(d, StudentT):
+        r = mpf(d.r)
+        return (lambda x: _mp_t_cdf(x, r)), (lambda x: _mp_t_cdf(-x, r))
+    if isinstance(d, FDist):
+        a, b = mpf(d.a), mpf(d.b)
+        return ((lambda x: mpmath.betainc(b / 2, a / 2, 0, b * x / (a + b * x),
+                                          regularized=True)),
+                (lambda x: mpmath.betainc(a / 2, b / 2, 0, a / (a + b * x),
+                                          regularized=True)))
+    if isinstance(d, Pareto):
+        a, b = mpf(d.a), mpf(d.b)
+        return (lambda x: 1 - (x / b) ** -a), (lambda x: (x / b) ** -a)
+    if isinstance(d, SphericalPower):
+        k, edge = mpf(d.r) / 2 + 1, mpmath.sqrt(mpf(d.r))
+
+        def cdf(x):
+            return mpmath.betainc(k, k, 0, (x / edge + 1) / 2, regularized=True)
+        return cdf, (lambda x: cdf(-x))
+    if isinstance(d, Normal):
+        mu, sigma = mpf(d.mu), mpf(d.sigma)
+        return ((lambda x: mpmath.ncdf(x, mu, sigma)),
+                (lambda x: mpmath.ncdf(-x, -mu, sigma)))
+    if isinstance(d, Uniform):
+        lo, hi = mpf(d.lo), mpf(d.hi)
+        return (lambda x: (x - lo) / (hi - lo)), (lambda x: (hi - x) / (hi - lo))
+    delta = mpf(d.delta)
+    if isinstance(d, NormalMixture):
+        def comp(x):
+            return mpmath.ncdf(x)
+    else:
+        r = mpf(d.r)
+
+        def comp(x):
+            return _mp_t_cdf(x, r)
+
+    def cdf(x):
+        return (comp(x - delta) + comp(x + delta)) / 2
+    return cdf, (lambda x: cdf(-x))
+
+
+def _mp_quantile(d, p: float, start: float):
+    """Root of F(x) = p (p <= 1/2) or 1 - F(x) = 1 - p at 40 digits; the
+    secant search starts from ``start`` and checks its own residual."""
+    cdf, sf = _mp_cdf_sf(d)
+    with mpmath.workdps(40):
+        pm = mpmath.mpf(p)
+        if p <= 0.5:
+            def g(x):
+                return cdf(x) - pm
+        else:
+            def g(x):
+                return sf(x) - (1 - pm)
+        x0 = mpmath.mpf(start)
+        return float(mpmath.findroot(g, (x0, x0 * (1 + mpmath.mpf(1e-9))
+                                         + mpmath.mpf(1e-12))))
+
+
+_REFERENCE_P = (1e-8, 1e-4, 0.3, 0.5, 1.0 - 1e-4, 1.0 - 1e-8)
+
+
+@pytest.mark.parametrize("d", ALL_MEMBERS)
+def test_quantile_matches_mpmath(d):
+    got = d.quantile(np.array(_REFERENCE_P))
+    want = np.array([_mp_quantile(d, p, x) for p, x in zip(_REFERENCE_P, got)])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_normal_quantile_deep_tail_matches_mpmath():
+    # criterion 2 grids the normal from p = 1e-290
+    got = Normal().quantile(1e-290)
+    assert got == pytest.approx(_mp_quantile(Normal(), 1e-290, got), rel=1e-15)
+
+
+@pytest.mark.parametrize("d", ALL_MEMBERS)
+def test_grid_quantiles_within_one_ulp(d):
+    # |F(x) - p| may exceed f(x) ulp(x), the change of F across one double
+    # at x, only by the rounding noise of F itself.  The subtracted term is
+    # what limits pareto and unif near their lower ends.
+    p = np.linspace(1e-8, 1.0 - 1e-8, 2000)
+    x = d.quantile(p)
+    resid = np.where(p <= 0.5, np.abs(d.cdf(x) - p),
+                     np.abs(d.sf(x) - (1.0 - p)))
+    excess = (resid - d.pdf(x) * np.spacing(np.abs(x))) / np.minimum(p, 1.0 - p)
+    assert excess.max() <= 2e-13
+
+
+@pytest.mark.parametrize("d", [NormalMixture(1.3), NormalMixture(0.2),
+                               TMixture(1.0, 0.57), TMixture(3.0, 2.0)])
+def test_mixture_quantile_odd_symmetric(d):
+    upper = 1.0 - np.geomspace(1e-8, 0.45, 200)
+    lower = 1.0 - upper  # exact: upper >= 1/2
+    q_lo, q_hi = d.quantile(lower), d.quantile(upper)
+    assert np.all(np.abs(q_hi + q_lo) <= 4.0 * np.spacing(np.abs(q_lo)))
+    assert abs(d.quantile(0.5)) <= 1e-15
+
+
 def test_quantile_domain():
     with pytest.raises(DomainError):
         Normal().quantile(0.0)
     with pytest.raises(DomainError):
         Normal().quantile(1.0)
+    with pytest.raises(DomainError):
+        Normal().quantile(np.nan)
 
 
 # ------------------------------------------------------------- differentials

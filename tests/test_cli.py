@@ -96,6 +96,19 @@ def test_exit_one_on_bad_spec_string():
     validate(doc, "error")
 
 
+@pytest.mark.parametrize("spec", ["t:r=0.05", "t:r=0.001", "pareto:a=0.01,b=1"])
+def test_exit_one_when_the_grid_leaves_double_precision(spec):
+    # the tail quantile at eps = 1e-8 is past ~1e152, where f^2 underflows
+    code, out, err = run("check", "--dist", spec, "--s", "-0.9",
+                         "--method", "iv")
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    validate(doc, "error")
+    assert doc["error"]["type"] == "DomainError"
+    assert "--eps" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [
     (),
     ("frobnicate",),
@@ -114,6 +127,8 @@ def test_exit_one_on_bad_spec_string():
      "--lo", "1", "--hi", "2", "--format", "csv"),
     ("fisher", "--dist", "norm", "--s", "0", "--format", "csv"),
     ("catalog", "--dist", "t:r=1", "--format", "csv"),
+    ("max-s", "--dist", "t:r=3", "--lo", "-0.5", "--hi", "0",
+     "--s", "0"),                                      # not --search-tol
 ])
 def test_exit_usage(argv):
     code, _, err = run(*argv)
