@@ -26,8 +26,11 @@ Each family inverts its own cdf: Normal by ``ndtri``, StudentT by
 ``stdtrit``, FDist and SphericalPower by ``betaincinv``, Pareto and Uniform
 in closed form.  The two mixtures run a safeguarded Newton iteration inside
 the bracket q_c(p) -+ delta, where q_c is the component quantile.  Upper
-tails are inverted through 1 - F, or by symmetry, never through a cdf
-value rounded near 1.
+tails are inverted through 1 - F (``_isf``), or by symmetry, never through
+a cdf value rounded near 1.  Deep tails switch to the leading term of the
+cdf where that is exact in double: the power tail K |x|^-r for StudentT,
+where ``stdtrit`` goes wrong past ~1e153, and z = (p a B(a, a))^(1/a) for
+SphericalPower, where ``betaincinv`` returns NaN.
 
 All evaluators accept scalars or numpy arrays and are pure; instances are
 immutable, so concurrent grid sweeps are safe.
@@ -79,16 +82,17 @@ def _finite(value: float, name: str) -> None:
              f"{name} must be a finite number")
 
 
-def _reflected(p: np.ndarray, lower_quantile) -> np.ndarray:
-    """Quantile of a law symmetric about 0 from its lower half alone:
-    q(p) = -q(1 - p) for p > 1/2, where 1 - p is exact."""
-    x = lower_quantile(np.minimum(p, 1.0 - p))
-    return np.where(p > 0.5, -x, x)
+def _reflected(p: np.ndarray, isf) -> np.ndarray:
+    """Quantile of a law symmetric about 0 from its upper tail alone:
+    q(p) = isf(1 - p) for p > 1/2, where 1 - p is exact, and -isf(p)
+    below."""
+    x = isf(np.minimum(p, 1.0 - p))
+    return np.where(p > 0.5, x, -x)
 
 
 class Distribution(ABC):
     """Base class wiring scalar/array dispatch and the quantile's domain
-    check; each family supplies ``_quantile``."""
+    check; each family supplies ``_quantile`` and ``_isf``."""
 
     # -- public evaluators -------------------------------------------------
     def pdf(self, x):
@@ -124,15 +128,33 @@ class Distribution(ABC):
         """Inverse of the cdf on (0, 1), from the family's own inverse.
 
         J(F) is open, so a value that rounds onto a finite end of the
-        support is moved to the nearest double inside it.
+        support is moved to the nearest double inside it.  Raises
+        DomainError, naming p, where the inversion yields no number.
         """
         arr = np.asarray(p, dtype=float)
         if not np.all((arr > 0.0) & (arr < 1.0)):
             raise DomainError("p must lie strictly inside (0, 1)")
-        sup = self.support()
-        lo = sup.lo if math.isinf(sup.lo) else math.nextafter(sup.lo, math.inf)
-        hi = sup.hi if math.isinf(sup.hi) else math.nextafter(sup.hi, -math.inf)
-        return self._dispatch(lambda q: np.clip(self._quantile(q), lo, hi), arr)
+        x = self._dispatch(lambda q: self._inside(self._quantile(q)), arr)
+        bad = np.isnan(x)
+        if np.any(bad):
+            raise DomainError(f"the quantile at p={float(arr[bad].flat[0])!r} "
+                              "is not a number")
+        return x
+
+    def density_at_quantiles(self, v: np.ndarray):
+        """((f, f'/f) at Q(v), (f, f'/f) at Q(1 - v)) for an array v in
+        (0, 1/2].
+
+        These are all the Fisher chain needs in u = F(x).  Q(1 - v) comes
+        from ``_isf``, so neither tail goes through 1 - v.  A family whose
+        x loses the distance to a finite end of its support overrides this.
+        """
+        x = self._inside(np.concatenate([self._quantile(v), self._isf(v)]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f = self._pdf(x)
+            score = self._pdf_deriv(x) / f
+        n = v.size
+        return (f[:n], score[:n]), (f[n:], score[n:])
 
     def spec_string(self) -> str:
         """Canonical spec string that parse_spec() maps back to this object."""
@@ -141,6 +163,13 @@ class Distribution(ABC):
         return f"{name}:{body}" if body else name
 
     # -- machinery ---------------------------------------------------------
+    def _inside(self, x: np.ndarray) -> np.ndarray:
+        """x with a finite support end moved to the nearest double inside."""
+        sup = self.support()
+        lo = sup.lo if math.isinf(sup.lo) else math.nextafter(sup.lo, math.inf)
+        hi = sup.hi if math.isinf(sup.hi) else math.nextafter(sup.hi, -math.inf)
+        return np.clip(x, lo, hi)
+
     def _dispatch(self, fn, x):
         arr = np.asarray(x, dtype=float)
         out = fn(np.atleast_1d(arr))
@@ -162,6 +191,10 @@ class Distribution(ABC):
 
     @abstractmethod
     def _quantile(self, p: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def _isf(self, q: np.ndarray) -> np.ndarray:
+        """Q(1 - q), without forming 1 - q."""
 
     @abstractmethod
     def spec_parts(self) -> tuple[str, list[tuple[str, float]]]:
@@ -212,10 +245,32 @@ class StudentT(Distribution):
     def _sf(self, x):
         return self._cdf(-x)
 
+    @cached_property
+    def _power_tail(self) -> tuple[float, float]:
+        """(K^(1/r), q_t) for the tail F(-x) = K x^-r (1 + e(x)), x > 0,
+        K = C_r r^((r-1)/2).  Inverting K x^-r puts a relative error of
+        r(r+1) / (2(r+2) x^2) on x; q_t is the mass where that is 1e-17."""
+        r = self.r
+        log_k = self._log_c + 0.5 * (r - 1.0) * math.log(r)
+        log_x = 0.5 * math.log(r * (r + 1.0) / (2.0 * (r + 2.0)) * 1e17)
+        return math.exp(log_k / r), math.exp(log_k - r * log_x)
+
     def _quantile(self, p):
         # stdtrit loses ~1e-9 relative in the upper tail, where it works from
         # 1 - p; the density is even, so invert the lower tail and reflect
-        return _reflected(p, lambda lower: _sps.stdtrit(self.r, lower))
+        return _reflected(p, self._isf)
+
+    def _isf(self, q):
+        # stdtrit goes wrong past |x| ~ 1e153 (finite values ~1e153 where the
+        # true one is 1e200, +inf at r = 3, q = 1e-300): take the power tail
+        # wherever it is exact in double
+        k_root, q_t = self._power_tail
+        x = np.empty_like(q)
+        deep = q <= q_t
+        with np.errstate(over="ignore"):  # an overflowing tail is +inf
+            x[deep] = k_root * q[deep] ** (-1.0 / self.r)
+        x[~deep] = -_sps.stdtrit(self.r, q[~deep])
+        return x
 
     def support(self) -> Support:
         return Support(-math.inf, math.inf)
@@ -287,11 +342,16 @@ class FDist(Distribution):
         out = np.empty_like(p)
         low = p <= 0.5
         y = _sps.betaincinv(b / 2.0, a / 2.0, p[low])  # y = bx / (a + bx)
-        z = _sps.betaincinv(a / 2.0, b / 2.0, 1.0 - p[~low])  # z = a / (a + bx)
-        with np.errstate(divide="ignore", over="ignore"):  # y = 1 or z = 0: inf
+        with np.errstate(divide="ignore"):  # y = 1: inf
             out[low] = a * y / (b * (1.0 - y))
-            out[~low] = a * (1.0 - z) / (b * z)
+        out[~low] = self._isf(1.0 - p[~low])
         return out
+
+    def _isf(self, q):
+        a, b = self.a, self.b
+        z = _sps.betaincinv(a / 2.0, b / 2.0, q)  # z = a / (a + bx)
+        with np.errstate(divide="ignore", over="ignore"):  # z = 0: inf
+            return a * (1.0 - z) / (b * z)
 
     def support(self) -> Support:
         return Support(0.0, math.inf)
@@ -346,6 +406,10 @@ class Pareto(Distribution):
     def _quantile(self, p):
         with np.errstate(over="ignore"):  # a tiny a overflows to +inf
             return self.b * np.exp(-np.log1p(-p) / self.a)
+
+    def _isf(self, q):
+        with np.errstate(over="ignore"):
+            return self.b * np.exp(-np.log(q) / self.a)
 
     def support(self) -> Support:
         return Support(self.b, math.inf)
@@ -410,10 +474,39 @@ class SphericalPower(Distribution):
     def _sf(self, x):
         return self._cdf(-x)
 
-    def _quantile(self, p):
+    @cached_property
+    def _z_scale(self) -> float:
         a = self.r / 2.0 + 1.0
-        return _reflected(p, lambda lower: self._edge
-                          * (2.0 * _sps.betaincinv(a, a, lower) - 1.0))
+        return math.exp((math.log(a) + _sps.betaln(a, a)) / a)
+
+    def _lower_z(self, q):
+        """z = I^-1_{a,a}(q) with a = r/2 + 1, so that x = sqrt(r) (2z - 1).
+
+        betaincinv returns NaN for tiny q (r = 3.7 at q = 1e-150).  There
+        I_{a,a}(z) = z^a / (a B(a, a)) (1 + O(a z)), and the leading term
+        z = (q a B(a, a))^(1/a) is exact in double once it is below 1e-20.
+        """
+        a = self.r / 2.0 + 1.0
+        lead = q ** (1.0 / a) * self._z_scale
+        deep = lead < 1e-20
+        return np.where(deep, lead,
+                        _sps.betaincinv(a, a, np.where(deep, 0.5, q)))
+
+    def _quantile(self, p):
+        return _reflected(p, self._isf)
+
+    def _isf(self, q):
+        # written as -(edge (2z - 1)), so that _reflected gives Q(1/2) = +0.0
+        return -self._edge * (2.0 * self._lower_z(q) - 1.0)
+
+    def density_at_quantiles(self, v):
+        # in z, 1 - x^2/r = 4z(1 - z) exactly, so f and f'/f keep full
+        # precision next to +-sqrt(r), where x itself does not
+        z = self._lower_z(v)
+        w = 4.0 * z * (1.0 - z)
+        f = np.exp(self._log_c + 0.5 * self.r * np.log(w))
+        score = self._edge * (1.0 - 2.0 * z) / w
+        return (f, score), (f, -score)
 
     def support(self) -> Support:
         return Support(-self._edge, self._edge)
@@ -461,6 +554,9 @@ class Normal(Distribution):
     def _quantile(self, p):
         return self.mu + self.sigma * _sps.ndtri(p)
 
+    def _isf(self, q):
+        return self.mu - self.sigma * _sps.ndtri(q)
+
     def support(self) -> Support:
         return Support(-math.inf, math.inf)
 
@@ -498,6 +594,9 @@ class Uniform(Distribution):
 
     def _quantile(self, p):
         return self.lo + p * (self.hi - self.lo)
+
+    def _isf(self, q):
+        return self.hi - q * (self.hi - self.lo)
 
     def support(self) -> Support:
         return Support(self.lo, self.hi)
@@ -541,7 +640,19 @@ class _HalfHalfMixture(Distribution):
 
     def _quantile(self, p):
         # the component is symmetric about 0, so 1 - F(x) = F(-x) exactly
-        return _reflected(p, self._lower_quantile)
+        return _reflected(p, self._isf)
+
+    def _isf(self, q):
+        return -self._lower_quantile(q)
+
+    def density_at_quantiles(self, v):
+        # Q(1 - v) = -Q(v), f is even and f'/f odd: one Newton solve serves
+        # both points
+        x = self._isf(v)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f = self._pdf(x)
+            score = self._pdf_deriv(x) / f
+        return (f, -score), (f, score)
 
     def _lower_quantile(self, p):
         """Safeguarded Newton on F - p for p <= 1/2, each point on its own.

@@ -175,8 +175,9 @@ def _envelope(args, d, s, n):
 
 def _fisher(args, d, s, n):
     report = fisher.check_fisher_chain(d, s, args.rel_tol, n, args.eps, args.tol)
-    body = {"rel_tol": args.rel_tol, "report": report.to_dict()}
-    return body, report.chain_holds
+    doc = report.to_dict()
+    doc["s"] = _encode_inf(doc["s"])
+    return {"rel_tol": args.rel_tol, "report": doc}, report.chain_holds
 
 
 def _catalog(args, d, s, n):
@@ -237,7 +238,7 @@ def _execute(args) -> tuple[dict | str, int]:
         doc["dist"] = d.spec_string()
     if n is not None:
         idx = shape.to_index(s) if s is not None else None
-        doc["config"] = {"s": None if idx is None else idx.s,
+        doc["config"] = {"s": None if idx is None else _encode_inf(idx.s),
                          "s_star": None if idx is None else idx.s_star,
                          "grid_points": n, "eps": args.eps, "tol": args.tol,
                          "format": fmt}

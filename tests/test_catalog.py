@@ -1,6 +1,7 @@
 """Tests for the distribution catalog."""
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -283,6 +284,79 @@ def test_quantile_domain():
         Normal().quantile(1.0)
     with pytest.raises(DomainError):
         Normal().quantile(np.nan)
+
+
+@pytest.mark.parametrize("r, p", [(0.06, 1e-16), (3.0, 1e-300),
+                                  (1.5, 1e-300), (1.0, 1e-12)])
+def test_student_t_deep_tail_quantile_matches_mpmath(r, p):
+    # stdtrit gives -1.6e153 at (0.06, 1e-16) and +inf at (3, 1e-300); the
+    # search starts from the power tail F(-x) = K x^-r, worked out in mpmath
+    with mpmath.workdps(40):
+        rm = mpmath.mpf(r)
+        k = (mpmath.gamma((rm + 1) / 2) / (mpmath.sqrt(mpmath.pi * rm)
+                                           * mpmath.gamma(rm / 2))
+             * rm ** ((rm - 1) / 2))
+        start = float(-(k / p) ** (1 / rm))
+    want = _mp_quantile(StudentT(r), p, start)
+    assert StudentT(r).quantile(p) == pytest.approx(want, rel=1e-12)
+
+
+def _mp_spherical_z(r: float, p: float):
+    """z with I_z(a, a) = p, a = r/2 + 1, at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(r) / 2 + 1
+        z0 = (p * a * mpmath.beta(a, a)) ** (1 / a)
+        # in logs: |I_z - p| is below any tolerance at these sizes
+        y = mpmath.findroot(
+            lambda y: mpmath.log(mpmath.betainc(a, a, 0, mpmath.exp(y),
+                                                regularized=True) / p),
+            mpmath.log(z0))
+        return mpmath.exp(y)
+
+
+@pytest.mark.parametrize("r", [2.2, 3.7, 8.5])
+@pytest.mark.parametrize("p", [1e-150, 1e-300])
+def test_spherical_power_deep_tail_matches_mpmath(r, p):
+    # betaincinv returns NaN at both p for r = 3.7
+    d = SphericalPower(r)
+    z = _mp_spherical_z(r, p)
+    with mpmath.workdps(40):
+        edge = mpmath.sqrt(mpmath.mpf(r))
+        x = edge * (2 * z - 1)
+        w = 4 * z * (1 - z)
+        c = mpmath.gamma((3 + mpmath.mpf(r)) / 2) / (
+            mpmath.sqrt(mpmath.pi * r) * mpmath.gamma(1 + mpmath.mpf(r) / 2))
+        f, score = c * w ** (mpmath.mpf(r) / 2), -x / w
+    # x rounds to the support end; quantile keeps it one double inside
+    assert d.quantile(p) == pytest.approx(float(x), rel=1e-15)
+    assert d.quantile(p) > d.support().lo
+    (f_lo, s_lo), (f_hi, s_hi) = d.density_at_quantiles(np.array([p]))
+    assert f_lo[0] == pytest.approx(float(f), rel=1e-12)
+    assert f_hi[0] == f_lo[0]
+    assert s_lo[0] == pytest.approx(float(score), rel=1e-12)
+    assert s_hi[0] == -s_lo[0]
+
+
+def test_quantile_raises_instead_of_nan():
+    @dataclass(frozen=True)
+    class Broken(Normal):
+        def _quantile(self, p):
+            return np.where(p < 0.25, np.nan, p)
+
+    with pytest.raises(DomainError, match=r"p=0\.125"):
+        Broken().quantile(np.array([0.5, 0.125, 0.25]))
+    assert Broken().quantile(0.5) == 0.5
+
+
+@pytest.mark.parametrize("d", ALL_MEMBERS)
+def test_density_at_quantiles_matches_the_evaluators(d):
+    v = np.array([1e-6, 0.01, 0.3, 0.5])
+    (f_lo, s_lo), (f_hi, s_hi) = d.density_at_quantiles(v)
+    for p, f, score in ((v, f_lo, s_lo), (1.0 - v, f_hi, s_hi)):
+        x = d.quantile(p)
+        np.testing.assert_allclose(f, d.pdf(x), rtol=1e-9)
+        np.testing.assert_allclose(score, d.pdf_deriv(x) / d.pdf(x),
+                                   rtol=1e-9, atol=1e-12)
 
 
 # ------------------------------------------------------------- differentials

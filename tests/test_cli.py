@@ -213,6 +213,33 @@ def test_fisher_all_infinite_document():
     assert doc["report"]["note"] == "all integrals infinite"
 
 
+@pytest.mark.parametrize("spec, s, i_f", [("gpow:r=2.2", "0.9", 16.0),
+                                          ("gpow:r=2.5", "0.8", 7.0)])
+def test_fisher_near_the_divergence(spec, s, i_f):
+    code, out, err = run("fisher", "--dist", spec, "--s", s)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    validate(doc, "fisher")
+    assert doc["report"]["I_f"] == pytest.approx(i_f, rel=1e-8)
+    assert doc["report"]["chain_holds"] is True
+
+
+# s = inf admits only the uniform law, whose Hardy integrals diverge while
+# I_f = 0: the fisher chain is broken there (exit 2)
+@pytest.mark.parametrize("command, code", [("check", 0), ("gamma", 0),
+                                           ("fisher", 2)])
+def test_s_inf_is_echoed_as_a_string(command, code):
+    for flag in (("--s", "inf"), ("--s-star", "1")):
+        got, out, err = run(command, "--dist", "unif", *flag, *FAST)
+        assert got == code and err == ""
+        doc = json.loads(out)
+        validate(doc, command)
+        assert doc["config"]["s"] == "inf" and doc["config"]["s_star"] == 1.0
+        if command == "fisher":
+            assert doc["report"]["s"] == "inf"
+            assert doc["report"]["chain_holds"] is False
+
+
 def test_fisher_refusal_exits_two():
     code, out, _ = run("fisher", "--dist", "t:r=1", "--s", "0.5",
                        "--grid-points", "256")

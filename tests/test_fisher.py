@@ -8,8 +8,10 @@ import pytest
 from biscv import (
     DomainError,
     Normal,
+    NormalMixture,
     Pareto,
     PreconditionError,
+    QuadratureError,
     SphericalPower,
     StudentT,
     Uniform,
@@ -19,6 +21,7 @@ from biscv import (
     hardy_integrals,
     integrate_adaptive,
 )
+from biscv.fisher import fisher_integrals
 
 
 # ----------------------------------------------------------------- closed form
@@ -70,6 +73,30 @@ def test_fisher_info_divergence_flag(r):
     assert math.isinf(fisher_info(SphericalPower(r)))
 
 
+@pytest.mark.parametrize("r", [2.2, 2.5, 2.8, 3.0])
+def test_fisher_info_spherical_power_near_the_divergence(r):
+    # the integrand grows like u^(-4/(r+2)) at both ends of (0, 1)
+    assert fisher_info(SphericalPower(r)) == pytest.approx(
+        (r + 1.0) / (r - 2.0), rel=1e-8)
+
+
+def test_fisher_info_spherical_power_r_2_05_is_right_or_raises():
+    # the slope is -0.988: most of the value lies in the power-law remainder
+    want = 3.05 / 0.05
+    try:
+        got = fisher_info(SphericalPower(2.05))
+    except QuadratureError as exc:
+        assert exc.best_estimate == pytest.approx(want, rel=1e-6)
+    else:
+        assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("r", [1.5, 5.0, 9.5])
+def test_fisher_info_student_t_closed_form(r):
+    assert fisher_info(StudentT(r)) == pytest.approx((r + 1.0) / (r + 3.0),
+                                                     rel=1e-8)
+
+
 def test_fisher_info_translation_invariance():
     a = fisher_info(Normal(0.0, 1.0))
     b = fisher_info(Normal(3.0, 1.0))
@@ -88,6 +115,44 @@ def test_hardy_normal_bounded_by_four_times_information():
 def test_hardy_symmetric_distribution():
     left, right = hardy_integrals(StudentT(4.0))
     assert left == pytest.approx(right, abs=1e-8)
+
+
+# int_0^1 (f(Q(u))/u)^2 du for gpow: 30-digit mpmath quadrature in z, where
+# u = I_z(a, a), with z = s^k, k = 1/(r/2 - 1), to remove the z^(r/2-2) end
+_GPOW_HARDY = {2.2: 30.831224652209359, 2.5: 12.873797426637856,
+               3.7: 4.5050192166576463}
+
+
+@pytest.mark.parametrize("r", sorted(_GPOW_HARDY))
+def test_hardy_spherical_power_matches_mpmath(r):
+    left, right = hardy_integrals(SphericalPower(r))
+    assert left == pytest.approx(_GPOW_HARDY[r], rel=1e-10)
+    assert right == pytest.approx(_GPOW_HARDY[r], rel=1e-10)
+
+
+def test_one_sweep_gives_all_three_integrals():
+    d = SphericalPower(2.5)
+    i_f, left, right = fisher_integrals(d)
+    assert i_f == fisher_info(d)
+    assert (left, right) == hardy_integrals(d)
+    assert fisher_integrals(SphericalPower(1.8)) == (math.inf,) * 3
+    with pytest.raises(DomainError):
+        fisher_integrals(d, rel_tol=0.0)
+
+
+def test_normal_mixture_with_a_deep_valley_matches_mpmath():
+    # f(0) = 0.0044 between the modes, so in u the valley is ~0.003 wide
+    # around u = 1/2; references by 30-digit mpmath quadrature in x
+    i_f, left, right = fisher_integrals(NormalMixture(3.0))
+    assert i_f == pytest.approx(0.96264028234086838, rel=1e-10)
+    assert left == pytest.approx(0.61723162264000517, rel=1e-10)
+    assert right == pytest.approx(0.61723162264000517, rel=1e-10)
+
+
+def test_law_beyond_double_precision_is_refused():
+    # t with r = 0.001 has |Q(1/4)| far beyond 1e308
+    with pytest.raises(DomainError, match="not finite"):
+        fisher_integrals(StudentT(0.001))
 
 
 def test_hardy_pareto_left_diverges_right_analytic():
@@ -132,6 +197,14 @@ def test_chain_spherical_power_six():
     rep = check_fisher_chain(SphericalPower(6.0), 1.0 / 3.0)
     assert rep.chain_holds
     assert rep.i_f == pytest.approx(1.75, rel=1e-4)
+
+
+def test_chain_spherical_power_near_the_divergence():
+    rep = check_fisher_chain(SphericalPower(2.2), 0.9)
+    assert rep.chain_holds
+    assert not rep.all_infinite
+    assert rep.i_f == pytest.approx(16.0, rel=1e-8)
+    assert rep.chain_lo <= rep.i_f <= rep.chain_hi
 
 
 def test_chain_all_infinite_for_r_two():
