@@ -237,10 +237,17 @@ class StudentT(Distribution):
             return self._pdf(x) * (-(self.r + 1.0) * x / (self.r + x * x))
 
     def _cdf(self, x):
+        # F(-|x|) = ½ I_z(r/2, ½), z = r/(r+x²); where z rounds near 1
+        # (x² < r/9) take the complement ½ - ½ I_{1-z}(½, r/2)
+        r = self.r
         with np.errstate(over="ignore"):
-            half = 0.5 * _sps.betainc(self.r / 2.0, 0.5,
-                                      self.r / (self.r + x * x))
-        return np.where(x <= 0.0, half, 1.0 - half)
+            x2 = x * x
+        near = x2 < r / 9.0
+        ib = _sps.betainc(np.where(near, 0.5, r / 2.0),
+                          np.where(near, r / 2.0, 0.5),
+                          np.where(near, x2, r) / (r + x2))
+        low = 0.5 * np.where(near, 1.0 - ib, ib)
+        return np.where(x <= 0.0, low, 1.0 - low)
 
     def _sf(self, x):
         return self._cdf(-x)

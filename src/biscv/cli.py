@@ -40,7 +40,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        # no prefix matching: "max-s ... --s 0" must not set --search-tol
+        # no prefix matching: "threshold ... --search 0.1" is a usage error
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):  # route argparse errors to exit 64
@@ -76,12 +76,6 @@ def _add_common(p: argparse.ArgumentParser, need_dist: bool = True,
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
 
-def _add_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--search-tol", type=float, default=1e-3)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="biscv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,15 +87,18 @@ def _build_parser() -> _Parser:
 
     _add_common(sub.add_parser("gamma", help="Csorgo-Revesz constants"))
 
-    p = sub.add_parser("max-s", help="supremal passing index by bisection")
+    p = sub.add_parser("max-s", help="supremal passing index, in closed form")
     _add_common(p, need_s=False)
-    _add_search(p)
+    p.add_argument("--lo", type=float, required=True)
+    p.add_argument("--hi", type=float, required=True)
 
     p = sub.add_parser("threshold", help="mixture separation threshold")
     p.add_argument("--family", choices=("normmix", "tmix"), required=True)
     p.add_argument("--r", type=float, default=None)
     _add_common(p, need_dist=False)
-    _add_search(p)
+    p.add_argument("--lo", type=float, required=True)
+    p.add_argument("--hi", type=float, required=True)
+    p.add_argument("--search-tol", type=float, default=1e-3)
 
     _add_common(sub.add_parser("envelope", help="emit the envelope-bound table"))
 
@@ -148,9 +145,9 @@ def _gamma(args, d, s, n):
 
 def _max_s(args, d, s, n):
     grid = shape.make_grid(d, n, args.eps)
-    value = shape.max_s(d, args.lo, args.hi, args.search_tol, grid, args.tol)
-    return {"lo": args.lo, "hi": args.hi, "search_tol": args.search_tol,
-            "max_s": value, "grid": grid.to_dict()}, True
+    value = shape.max_s(d, args.lo, args.hi, grid, args.tol)
+    return {"lo": args.lo, "hi": _encode_inf(args.hi),
+            "max_s": _encode_inf(value), "grid": grid.to_dict()}, True
 
 
 def _threshold(args, d, s, n):

@@ -54,7 +54,7 @@ class QuadratureError(BiscvError):
 
 
 class BracketError(BiscvError):
-    """A bisection bracket does not straddle the sought boundary."""
+    """A search bracket does not contain the sought boundary."""
 
 
 class PreconditionError(BiscvError):

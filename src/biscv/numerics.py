@@ -1,5 +1,5 @@
 """Self-contained numerical kernels: adaptive quadrature, 1-D maximization
-and predicate bisection.
+and predicate bisection (the mixture threshold search; max_s needs none).
 
 Everything here is a pure function of its arguments.  The quadrature rule is
 an embedded Gauss-Kronrod 7/15 pair; infinite endpoints are mapped to a

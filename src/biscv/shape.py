@@ -486,15 +486,15 @@ def check_midpoint(d: Distribution, s: float, grid: Grid,
                        margin, grid, tol)
 
 
-# -- parameter searches ---------------------------------------------------------
+# -- largest index and mixture threshold ----------------------------------------
 
-def max_s(d: Distribution, lo: float, hi: float, tol: float = 1e-3,
-          grid: Grid | None = None, check_tol: float = DEFAULT_TOL) -> float:
-    """Supremal s at which ``check_condition_iv`` passes, by bisection.
+def max_s(d: Distribution, lo: float, hi: float, grid: Grid | None = None,
+          check_tol: float = DEFAULT_TOL) -> float:
+    """Supremal s at which ``check_condition_iv`` passes: min(1/kappa - 1, hi).
 
-    Relies on nestedness of the corridor in s (the bounds widen as s
-    decreases).  Requires a pass at ``lo``; if the check also passes at
-    ``hi`` there is no boundary inside the bracket and ``hi`` is returned.
+    kappa is the grid maximum of (f'/f^2)/(1/F + tol/m) and
+    (-f'/f^2)/(1/(1-F) + tol/m), m = min(F, 1-F): the checker's test solved
+    for 1/(1+s).  kappa <= 0 gives inf; a value below ``lo`` is a BracketError.
     """
     to_index(lo)
     to_index(hi)
@@ -502,16 +502,16 @@ def max_s(d: Distribution, lo: float, hi: float, tol: float = 1e-3,
         raise DomainError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if grid is None:
         grid = make_grid(d)
-
-    def passes(s: float) -> bool:
-        return check_condition_iv(d, s, grid, check_tol).passed
-
-    if not passes(lo):
+    f, fp, F, S = _fields(d, grid.points)
+    slope = fp / (f * f)
+    slack = check_tol / np.minimum(F, S)
+    kappa = float(np.max(np.maximum(slope / (1.0 / F + slack),
+                                    -slope / (1.0 / S + slack))))
+    s = math.inf if kappa <= 0.0 else 1.0 / kappa - 1.0
+    if not s >= lo:
         raise BracketError(
             f"bracket invalid: check fails at s={lo}; widen the bracket downward")
-    if passes(hi):
-        return hi
-    return bisect_boundary(passes, lo, hi, tol)
+    return min(s, hi)
 
 
 def delta_threshold(family: str, s: float, lo: float, hi: float,

@@ -301,6 +301,27 @@ def test_student_t_deep_tail_quantile_matches_mpmath(r, p):
     assert StudentT(r).quantile(p) == pytest.approx(want, rel=1e-12)
 
 
+def _mp_cdf_at(d, xs):
+    cdf, _ = _mp_cdf_sf(d)
+    with mpmath.workdps(40):
+        return np.array([float(cdf(mpmath.mpf(float(x)))) for x in xs])
+
+
+def test_student_t_cdf_near_zero_matches_mpmath():
+    # betainc(r/2, 1/2, r/(r+x^2)) rounds its argument to 1 near x = 0
+    # (relative error 3.3e-11 at x = -1e-6); the complementary form does not
+    xs = np.array([-1e-6, -1e-3, 1e-4, 0.3, -0.7, -1.9])
+    d = StudentT(4.0)
+    np.testing.assert_allclose(d.cdf(xs), _mp_cdf_at(d, xs), rtol=1e-14, atol=0)
+
+
+def test_t_mixture_cdf_near_component_centre_matches_mpmath():
+    # near x = -2 the component t_r(x + delta) is evaluated near its centre
+    xs = np.array([-2.0006, -2.0001, -2.00001, -1.99999, -1.9994])
+    d = TMixture(7.9, 2.0)
+    np.testing.assert_allclose(d.cdf(xs), _mp_cdf_at(d, xs), rtol=1e-14, atol=0)
+
+
 def _mp_spherical_z(r: float, p: float):
     """z with I_z(a, a) = p, a = r/2 + 1, at 40 digits."""
     with mpmath.workdps(40):

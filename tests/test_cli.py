@@ -7,8 +7,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from biscv import cli
+from biscv import StudentT, cli
 from biscv.envelope import CSV_HEADER
+from biscv.shape import cr_right
 
 
 def run(*argv, env_grid=None, monkeypatch=None):
@@ -128,7 +129,11 @@ def test_exit_one_when_the_grid_leaves_double_precision(spec):
     ("fisher", "--dist", "norm", "--s", "0", "--format", "csv"),
     ("catalog", "--dist", "t:r=1", "--format", "csv"),
     ("max-s", "--dist", "t:r=3", "--lo", "-0.5", "--hi", "0",
-     "--s", "0"),                                      # not --search-tol
+     "--s", "0"),                                      # max-s takes no --s
+    ("max-s", "--dist", "t:r=3", "--lo", "-0.5", "--hi", "0",
+     "--search-tol", "1e-3"),                          # closed form: no search
+    ("threshold", "--family", "normmix", "--s", "0", "--lo", "1",
+     "--hi", "2", "--search", "0.1"),                  # not --search-tol
 ])
 def test_exit_usage(argv):
     code, _, err = run(*argv)
@@ -163,6 +168,34 @@ def test_max_s_document():
     validate(doc, "max_s")
     assert doc["max_s"] == pytest.approx(-1.0 / 3.0, abs=5e-3)
     assert doc["grid"]["count"] == 64
+    assert "search_tol" not in doc
+
+
+@pytest.mark.parametrize("dist, want", [("unif", "inf"), ("norm", None)])
+def test_max_s_unbounded_bracket(dist, want):
+    code, out, err = run("max-s", "--dist", dist, "--lo", "-0.5",
+                         "--hi", "inf", *FAST)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    validate(doc, "max_s")
+    assert doc["hi"] == "inf"
+    if want is None:
+        assert isinstance(doc["max_s"], float)
+    else:
+        assert doc["max_s"] == want
+
+
+def test_max_s_wide_bracket_is_exact():
+    # a bisection capped at 200 steps returned 3.1e239 here.  The tail
+    # index gives -1/(1+r) = -0.25; truncating the grid at eps = 1e-8 lifts
+    # the answer to the corridor bound at the last grid point, -0.2499980
+    code, out, _ = run("max-s", "--dist", "t:r=3", "--lo", "-0.5",
+                       "--hi", "1e300")
+    assert code == 0
+    d = StudentT(3.0)
+    on_grid = -1.0 / float(cr_right(d, d.quantile(1.0 - 1e-8))) - 1.0
+    got = json.loads(out)["max_s"]
+    assert -0.25 < got == pytest.approx(on_grid, abs=1e-8)
 
 
 def test_threshold_document():

@@ -11,6 +11,7 @@ import biscv as bv
 from biscv import (
     BracketError,
     DomainError,
+    FDist,
     Normal,
     NormalMixture,
     Pareto,
@@ -311,7 +312,7 @@ def test_corridor_nestedness_in_s(d):
 
 def test_max_s_pareto():
     d = Pareto(2.0, 1.0)
-    got = max_s(d, -0.6, -0.1, 1e-4, grid_for(d))
+    got = max_s(d, -0.6, -0.1, grid_for(d))
     assert got == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
 
@@ -321,19 +322,44 @@ def test_max_s_student_t_with_bracket_confirmation():
     # brute-force confirmation on both sides of the boundary first
     assert check_condition_iv(d, -0.55, g).passed
     assert not check_condition_iv(d, -0.45, g).passed
-    got = max_s(d, -0.7, -0.3, 1e-3, g)
+    got = max_s(d, -0.7, -0.3, g)
     assert got == pytest.approx(-0.5, abs=1e-2)
 
 
 def test_max_s_uniform_returns_hi():
     u = Uniform(0.0, 1.0)
-    assert max_s(u, -0.5, 50.0, 1e-3, grid_for(u)) == 50.0
+    assert max_s(u, -0.5, 50.0, grid_for(u)) == 50.0
 
 
 def test_max_s_invalid_bracket():
     d = StudentT(1.0)
     with pytest.raises(BracketError):
-        max_s(d, -0.4, -0.1, 1e-3, grid_for(d))  # already fails at lo
+        max_s(d, -0.4, -0.1, grid_for(d))  # already fails at lo
+
+
+# one member per family with a finite boundary, two for t
+_BOUNDED = [StudentT(3.0), StudentT(0.5), FDist(4.0, 6.0), Pareto(2.0, 1.0),
+            SphericalPower(1.8), Normal(), NormalMixture(1.0),
+            TMixture(1.0, 0.3)]
+
+
+@pytest.mark.parametrize("d", _BOUNDED, ids=lambda d: d.spec_string())
+def test_max_s_is_the_boundary_of_the_checker(d):
+    g = grid_for(d)
+    got = max_s(d, -0.99, 1e6, g)
+    assert -0.99 < got < 1e6
+    assert check_condition_iv(d, got - 1e-9, g).passed
+    assert not check_condition_iv(d, got + 1e-9, g).passed
+
+
+@pytest.mark.parametrize("d", _BOUNDED + [FDist(1.0, 3.0), Uniform(0.0, 1.0)],
+                         ids=lambda d: d.spec_string())
+def test_gamma_within_the_corridor_bound(d):
+    # gamma = sup |F(1-F) f'/f^2| is bounded by the corridor maximum kappa,
+    # kappa = 1/(1 + max_s); the checker tol folded into kappa costs ~1e-9
+    g = grid_for(d)
+    bound = max_s(d, -0.99, 1e6, g)
+    assert cr_report(d, bound, g).gamma <= (1.0 + 1e-8) / (1.0 + bound)
 
 
 def test_delta_threshold_normal_mixture():
