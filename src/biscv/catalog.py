@@ -237,12 +237,13 @@ class StudentT(Distribution):
             return self._pdf(x) * (-(self.r + 1.0) * x / (self.r + x * x))
 
     def _cdf(self, x):
-        # F(-|x|) = ½ I_z(r/2, ½), z = r/(r+x²); where z rounds near 1
-        # (x² < r/9) take the complement ½ - ½ I_{1-z}(½, r/2)
+        # F(-|x|) = ½ I_z(r/2, ½), z = r/(r+x²); where z rounds near 1 take
+        # the complement ½ - ½ I_{1-z}(½, r/2), but only for |x| < min(√r, 2)/3,
+        # below every t quartile, so F ≥ ¼ and the subtraction keeps its digits
         r = self.r
         with np.errstate(over="ignore"):
             x2 = x * x
-        near = x2 < r / 9.0
+        near = x2 < min(r, 4.0) / 9.0
         ib = _sps.betainc(np.where(near, 0.5, r / 2.0),
                           np.where(near, r / 2.0, 0.5),
                           np.where(near, x2, r) / (r + x2))

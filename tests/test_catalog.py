@@ -315,6 +315,15 @@ def test_student_t_cdf_near_zero_matches_mpmath():
     np.testing.assert_allclose(d.cdf(xs), _mp_cdf_at(d, xs), rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("r, xs", [(1000.0, [-3.0, -6.0, -10.0]),
+                                   (100.0, [-3.0])])
+def test_student_t_cdf_tail_at_large_r_matches_mpmath(r, xs):
+    # the complement ½ - ½ I would cancel here, where F is far below ¼
+    xs = np.array(xs)
+    d = StudentT(r)
+    np.testing.assert_allclose(d.cdf(xs), _mp_cdf_at(d, xs), rtol=1e-12, atol=0)
+
+
 def test_t_mixture_cdf_near_component_centre_matches_mpmath():
     # near x = -2 the component t_r(x + delta) is evaluated near its centre
     xs = np.array([-2.0006, -2.0001, -2.00001, -1.99999, -1.9994])
