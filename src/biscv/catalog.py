@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -77,22 +77,24 @@ def _require(cond: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _finite(value: float, name: str) -> None:
-    _require(isinstance(value, (int, float)) and math.isfinite(value),
-             f"{name} must be a finite number")
-
-
-def _reflected(p: np.ndarray, isf) -> np.ndarray:
-    """Quantile of a law symmetric about 0 from its upper tail alone:
-    q(p) = isf(1 - p) for p > 1/2, where 1 - p is exact, and -isf(p)
-    below."""
-    x = isf(np.minimum(p, 1.0 - p))
-    return np.where(p > 0.5, x, -x)
-
-
 class Distribution(ABC):
     """Base class wiring scalar/array dispatch and the quantile's domain
-    check; each family supplies ``_quantile`` and ``_isf``."""
+    check; each family supplies ``_quantile`` and ``_isf``.
+
+    A family is a frozen dataclass whose fields are its parameters, in spec
+    order, with their defaults.  The class attribute ``tag`` names it in
+    spec strings, and ``_positive`` names the fields that must be > 0.
+    """
+
+    _positive: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _require(isinstance(value, (int, float)) and math.isfinite(value),
+                     f"{f.name} must be a finite number")
+        for name in self._positive:
+            _require(getattr(self, name) > 0, f"{name} must be > 0")
 
     # -- public evaluators -------------------------------------------------
     def pdf(self, x):
@@ -156,6 +158,17 @@ class Distribution(ABC):
         n = v.size
         return (f[:n], score[:n]), (f[n:], score[n:])
 
+    @property
+    def normalization(self) -> float:
+        """The density's normalizing constant exp(_log_c); AttributeError
+        for a family without ``_log_c``."""
+        return math.exp(self._log_c)
+
+    def spec_parts(self) -> tuple[str, list[tuple[str, float]]]:
+        """Family tag and ordered (key, value) parameter pairs."""
+        return self.tag, [(f.name, getattr(self, f.name))
+                          for f in fields(self)]
+
     def spec_string(self) -> str:
         """Canonical spec string that parse_spec() maps back to this object."""
         name, params = self.spec_parts()
@@ -196,10 +209,6 @@ class Distribution(ABC):
     def _isf(self, q: np.ndarray) -> np.ndarray:
         """Q(1 - q), without forming 1 - q."""
 
-    @abstractmethod
-    def spec_parts(self) -> tuple[str, list[tuple[str, float]]]:
-        """Family tag and ordered (key, value) parameter pairs."""
-
 
 def _fmt_param(v: float) -> str:
     if float(v).is_integer() and abs(v) < 1e15:
@@ -207,25 +216,42 @@ def _fmt_param(v: float) -> str:
     return repr(float(v))
 
 
+class _Symmetric(Distribution):
+    """A law symmetric about 0: 1 - F(x) = F(-x) and Q(1 - v) = -Q(v), with
+    f even and f' odd, so each upper-tail quantity is a reflected lower one."""
+
+    def _sf(self, x):
+        return self._cdf(-x)
+
+    def _quantile(self, p):
+        # isf(1 - p) for p > 1/2, where 1 - p is exact, and -isf(p) below, so
+        # neither tail goes through a value rounded near 1
+        x = self._isf(np.minimum(p, 1.0 - p))
+        return np.where(p > 0.5, x, -x)
+
+    def density_at_quantiles(self, v):
+        # one inversion serves both points: Q(v) = -Q(1 - v), f is even and
+        # f'/f odd
+        x = self._isf(v)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f = self._pdf(x)
+            score = self._pdf_deriv(x) / f
+        return (f, -score), (f, score)
+
+
 @dataclass(frozen=True)
-class StudentT(Distribution):
+class StudentT(_Symmetric):
     """Student t density with r > 0 degrees of freedom."""
 
+    tag = "t"
+    _positive = ("r",)
     r: float
-
-    def __post_init__(self):
-        _finite(self.r, "r")
-        _require(self.r > 0, "r must be > 0")
 
     @cached_property
     def _log_c(self) -> float:
         r = self.r
         return (math.lgamma((r + 1.0) / 2.0) - math.lgamma(r / 2.0)
                 - 0.5 * math.log(math.pi * r))
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(self._log_c)
 
     def _pdf(self, x):
         with np.errstate(over="ignore"):
@@ -250,9 +276,6 @@ class StudentT(Distribution):
         low = 0.5 * np.where(near, 1.0 - ib, ib)
         return np.where(x <= 0.0, low, 1.0 - low)
 
-    def _sf(self, x):
-        return self._cdf(-x)
-
     @cached_property
     def _power_tail(self) -> tuple[float, float]:
         """(K^(1/r), q_t) for the tail F(-x) = K x^-r (1 + e(x)), x > 0,
@@ -263,15 +286,11 @@ class StudentT(Distribution):
         log_x = 0.5 * math.log(r * (r + 1.0) / (2.0 * (r + 2.0)) * 1e17)
         return math.exp(log_k / r), math.exp(log_k - r * log_x)
 
-    def _quantile(self, p):
-        # stdtrit loses ~1e-9 relative in the upper tail, where it works from
-        # 1 - p; the density is even, so invert the lower tail and reflect
-        return _reflected(p, self._isf)
-
     def _isf(self, q):
-        # stdtrit goes wrong past |x| ~ 1e153 (finite values ~1e153 where the
-        # true one is 1e200, +inf at r = 3, q = 1e-300): take the power tail
-        # wherever it is exact in double
+        # stdtrit loses ~1e-9 relative in the upper tail, where it works from
+        # 1 - p, so only its lower tail is used.  It also goes wrong past
+        # |x| ~ 1e153 (finite values ~1e153 where the true one is 1e200, +inf
+        # at r = 3, q = 1e-300): take the power tail wherever it is exact
         k_root, q_t = self._power_tail
         x = np.empty_like(q)
         deep = q <= q_t
@@ -286,32 +305,21 @@ class StudentT(Distribution):
     def max_known_s(self) -> float:
         return -1.0 / (1.0 + self.r)
 
-    def spec_parts(self):
-        return "t", [("r", self.r)]
-
 
 @dataclass(frozen=True)
 class FDist(Distribution):
     """F-distribution density x^(b/2-1) (a+bx)^(-(a+b)/2), x > 0."""
 
+    tag = "fdist"
+    _positive = ("a", "b")
     a: float
     b: float
-
-    def __post_init__(self):
-        _finite(self.a, "a")
-        _finite(self.b, "b")
-        _require(self.a > 0, "a must be > 0")
-        _require(self.b > 0, "b must be > 0")
 
     @cached_property
     def _log_c(self) -> float:
         a, b = self.a, self.b
         return (0.5 * a * math.log(a) + 0.5 * b * math.log(b)
                 - _sps.betaln(a / 2.0, b / 2.0))
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(self._log_c)
 
     def _pdf(self, x):
         a, b = self.a, self.b
@@ -370,22 +378,15 @@ class FDist(Distribution):
             return -1.0 / (1.0 + self.a / 2.0)
         return None
 
-    def spec_parts(self):
-        return "fdist", [("a", self.a), ("b", self.b)]
-
 
 @dataclass(frozen=True)
 class Pareto(Distribution):
     """Pareto density (a/b)(x/b)^(-(a+1)) on [b, inf)."""
 
+    tag = "pareto"
+    _positive = ("a", "b")
     a: float
     b: float
-
-    def __post_init__(self):
-        _finite(self.a, "a")
-        _finite(self.b, "b")
-        _require(self.a > 0, "a must be > 0")
-        _require(self.b > 0, "b must be > 0")
 
     def _pdf(self, x):
         inside = x >= self.b
@@ -425,29 +426,20 @@ class Pareto(Distribution):
     def max_known_s(self) -> float:
         return -1.0 / (1.0 + self.a)
 
-    def spec_parts(self):
-        return "pareto", [("a", self.a), ("b", self.b)]
-
 
 @dataclass(frozen=True)
-class SphericalPower(Distribution):
+class SphericalPower(_Symmetric):
     """Density C_r (1 - x^2/r)^(r/2) on [-sqrt(r), sqrt(r)]."""
 
+    tag = "gpow"
+    _positive = ("r",)
     r: float
-
-    def __post_init__(self):
-        _finite(self.r, "r")
-        _require(self.r > 0, "r must be > 0")
 
     @cached_property
     def _log_c(self) -> float:
         r = self.r
         return (math.lgamma((3.0 + r) / 2.0) - math.lgamma(1.0 + r / 2.0)
                 - 0.5 * math.log(math.pi * r))
-
-    @property
-    def normalization(self) -> float:
-        return math.exp(self._log_c)
 
     @cached_property
     def _edge(self) -> float:
@@ -479,9 +471,6 @@ class SphericalPower(Distribution):
         u = np.clip((x / self._edge + 1.0) / 2.0, 0.0, 1.0)
         return _sps.betainc(self.r / 2.0 + 1.0, self.r / 2.0 + 1.0, u)
 
-    def _sf(self, x):
-        return self._cdf(-x)
-
     @cached_property
     def _z_scale(self) -> float:
         a = self.r / 2.0 + 1.0
@@ -500,11 +489,8 @@ class SphericalPower(Distribution):
         return np.where(deep, lead,
                         _sps.betaincinv(a, a, np.where(deep, 0.5, q)))
 
-    def _quantile(self, p):
-        return _reflected(p, self._isf)
-
     def _isf(self, q):
-        # written as -(edge (2z - 1)), so that _reflected gives Q(1/2) = +0.0
+        # written as -(edge (2z - 1)), so that reflecting gives Q(1/2) = +0.0
         return -self._edge * (2.0 * self._lower_z(q) - 1.0)
 
     def density_at_quantiles(self, v):
@@ -522,9 +508,6 @@ class SphericalPower(Distribution):
     def max_known_s(self) -> float:
         return 2.0 / self.r
 
-    def spec_parts(self):
-        return "gpow", [("r", self.r)]
-
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -534,13 +517,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 class Normal(Distribution):
     """Normal density with mean mu and standard deviation sigma."""
 
+    tag = "norm"
+    _positive = ("sigma",)
     mu: float = 0.0
     sigma: float = 1.0
-
-    def __post_init__(self):
-        _finite(self.mu, "mu")
-        _finite(self.sigma, "sigma")
-        _require(self.sigma > 0, "sigma must be > 0")
 
     def _z(self, x):
         return (x - self.mu) / self.sigma
@@ -571,20 +551,17 @@ class Normal(Distribution):
     def max_known_s(self) -> float:
         return 0.0
 
-    def spec_parts(self):
-        return "norm", [("mu", self.mu), ("sigma", self.sigma)]
-
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
     """Uniform density on (lo, hi)."""
 
+    tag = "unif"
     lo: float = 0.0
     hi: float = 1.0
 
     def __post_init__(self):
-        _finite(self.lo, "lo")
-        _finite(self.hi, "hi")
+        super().__post_init__()
         _require(self.lo < self.hi, "lo must be < hi")
 
     def _pdf(self, x):
@@ -612,9 +589,6 @@ class Uniform(Distribution):
     def max_known_s(self) -> float:
         return math.inf
 
-    def spec_parts(self):
-        return "unif", [("lo", self.lo), ("hi", self.hi)]
-
 
 # Newton needs at most ~25 steps on the mixtures tried; the cap only bounds
 # a point that keeps bisecting
@@ -624,7 +598,7 @@ _NEWTON_CAP = 100
 _F_NOISE = float(np.finfo(float).eps)
 
 
-class _HalfHalfMixture(Distribution):
+class _HalfHalfMixture(_Symmetric):
     """Equal-weight mixture of one component shifted to +-delta.
 
     Subclasses provide ``delta`` (a dataclass field) and ``_component``.
@@ -642,25 +616,8 @@ class _HalfHalfMixture(Distribution):
         c = self._component
         return 0.5 * (c._cdf(x - self.delta) + c._cdf(x + self.delta))
 
-    def _sf(self, x):
-        c = self._component
-        return 0.5 * (c._sf(x - self.delta) + c._sf(x + self.delta))
-
-    def _quantile(self, p):
-        # the component is symmetric about 0, so 1 - F(x) = F(-x) exactly
-        return _reflected(p, self._isf)
-
     def _isf(self, q):
         return -self._lower_quantile(q)
-
-    def density_at_quantiles(self, v):
-        # Q(1 - v) = -Q(v), f is even and f'/f odd: one Newton solve serves
-        # both points
-        x = self._isf(v)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            f = self._pdf(x)
-            score = self._pdf_deriv(x) / f
-        return (f, -score), (f, score)
 
     def _lower_quantile(self, p):
         """Safeguarded Newton on F - p for p <= 1/2, each point on its own.
@@ -704,39 +661,27 @@ class _HalfHalfMixture(Distribution):
 class NormalMixture(_HalfHalfMixture):
     """0.5 N(-delta, 1) + 0.5 N(delta, 1)."""
 
+    tag = "normmix"
+    _positive = ("delta",)
     delta: float
-
-    def __post_init__(self):
-        _finite(self.delta, "delta")
-        _require(self.delta > 0, "delta must be > 0")
 
     @cached_property
     def _component(self) -> Normal:
         return Normal(0.0, 1.0)
-
-    def spec_parts(self):
-        return "normmix", [("delta", self.delta)]
 
 
 @dataclass(frozen=True)
 class TMixture(_HalfHalfMixture):
     """0.5 t_r(. - delta) + 0.5 t_r(. + delta)."""
 
+    tag = "tmix"
+    _positive = ("r", "delta")
     r: float
     delta: float
-
-    def __post_init__(self):
-        _finite(self.r, "r")
-        _finite(self.delta, "delta")
-        _require(self.r > 0, "r must be > 0")
-        _require(self.delta > 0, "delta must be > 0")
 
     @cached_property
     def _component(self) -> StudentT:
         return StudentT(self.r)
-
-    def spec_parts(self):
-        return "tmix", [("r", self.r), ("delta", self.delta)]
 
 
 # -- spec-string grammar ----------------------------------------------------
@@ -744,18 +689,12 @@ class TMixture(_HalfHalfMixture):
 #   spec    = family [ ":" pair { "," pair } ]
 #   pair    = key "=" number
 #
-# Keys may be omitted only when the family defines a default for them.
+# The keys are the family's dataclass fields; a key may be omitted only when
+# its field has a default.
 
-_FAMILY_TABLE: dict[str, tuple[type, tuple[str, ...], dict[str, float]]] = {
-    "t": (StudentT, ("r",), {}),
-    "fdist": (FDist, ("a", "b"), {}),
-    "pareto": (Pareto, ("a", "b"), {}),
-    "gpow": (SphericalPower, ("r",), {}),
-    "norm": (Normal, ("mu", "sigma"), {"mu": 0.0, "sigma": 1.0}),
-    "unif": (Uniform, ("lo", "hi"), {"lo": 0.0, "hi": 1.0}),
-    "normmix": (NormalMixture, ("delta",), {}),
-    "tmix": (TMixture, ("r", "delta"), {}),
-}
+_FAMILY_TABLE: dict[str, type[Distribution]] = {
+    cls.tag: cls for cls in (StudentT, FDist, Pareto, SphericalPower, Normal,
+                             Uniform, NormalMixture, TMixture)}
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
@@ -774,7 +713,10 @@ def parse_spec(text: str) -> Distribution:
     if family not in _FAMILY_TABLE:
         raise ParseError(f"unknown family {family!r} "
                          f"(known: {', '.join(sorted(_FAMILY_TABLE))})", 0)
-    cls, keys, defaults = _FAMILY_TABLE[family]
+    cls = _FAMILY_TABLE[family]
+    keys = [f.name for f in fields(cls)]
+    defaults = {f.name: f.default for f in fields(cls)
+                if f.default is not MISSING}
     params = dict(defaults)
     if colon >= 0:
         body = text[colon + 1:]
@@ -801,4 +743,4 @@ def parse_spec(text: str) -> Distribution:
     if missing:
         raise ParseError(f"missing required key(s): {', '.join(missing)}",
                          len(text))
-    return cls(**{k: params[k] for k in keys})
+    return cls(**params)

@@ -72,7 +72,7 @@ DEFAULT_GRID_POINTS = 2000
 DEFAULT_EPS = 1e-8
 DEFAULT_TOL = 1e-9
 
-_PAIR_BUDGET = 20000
+_FILL_PER_BIN = 750
 _PAIR_SEED = 181181
 _ALL_PAIRS_LIMIT = 200
 
@@ -253,17 +253,17 @@ def generalized_mean(a, b, theta: float, t: float):
         da = t * (la - mu)
         db = t * (lb - mu)
         small = (np.abs(da) < 1.0) & (np.abs(db) < 1.0)
+        big = ~small
         out = np.empty_like(mu)
-        # near-geometric regime: expm1/log1p keeps the t -> 0 limit exact
-        m = (1.0 - theta) * np.expm1(np.where(small, da, 0.0)) \
-            + theta * np.expm1(np.where(small, db, 0.0))
-        out[small] = np.exp(mu + np.log1p(np.maximum(m, -1.0)) / t)[small]
-        if np.any(~small):
-            big = ~small
-            hi = np.maximum(da, db)
-            lse = hi + np.log((1.0 - theta) * np.exp(da - hi)
-                              + theta * np.exp(db - hi))
-            out[big] = np.exp(mu + lse / t)[big]
+        # near-geometric regime: expm1/log1p keeps the t -> 0 limit exact;
+        # each regime is evaluated on its own points only
+        m = (1.0 - theta) * np.expm1(da[small]) + theta * np.expm1(db[small])
+        out[small] = np.exp(mu[small] + np.log1p(np.maximum(m, -1.0)) / t)
+        da, db = da[big], db[big]
+        hi = np.maximum(da, db)
+        lse = hi + np.log((1.0 - theta) * np.exp(da - hi)
+                          + theta * np.exp(db - hi))
+        out[big] = np.exp(mu[big] + lse / t)
 
     if t > 0.0:
         # one zero input with t > 0 still averages the surviving mass
@@ -373,15 +373,15 @@ def check_condition_iv(d: Distribution, s: float, grid: Grid,
     """Check -(1-s*) f^2/(1-F) <= f' <= (1-s*) f^2/F on the grid.
 
     Slack is relative to the local bound magnitude
-    (1-s*) f^2 max(1/F, 1/(1-F)); for s = inf the condition degenerates to
-    f' = 0 and |f'| is compared against the same scale without the
-    vanishing (1-s*) factor.
+    (1-s*) f^2 max(1/F, 1/(1-F)); where s* = 1 (s = inf, or an s so large
+    that s* rounds to 1) the condition degenerates to f' = 0 and |f'| is
+    compared against the same scale without the vanishing (1-s*) factor.
     """
     idx = to_index(s)
     pts = grid.points
     f, fp, F, S = _fields(d, pts)
     base = f * f / np.minimum(F, S)
-    if math.isinf(idx.s):
+    if idx.s_star == 1.0:
         margins = -np.abs(fp) / base
     else:
         oms = idx.one_minus_star
@@ -428,9 +428,11 @@ def check_condition_iii(d: Distribution, s: float, grid: Grid,
 def _midpoint_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j for the midpoint test.
 
-    All pairs when n <= 200; otherwise a deterministic ~20000-pair sample:
-    all lag-1 and lag-2 pairs, all pairs anchored at either grid end, and a
-    lag-stratified random fill (fixed seed).
+    All pairs when n <= 200; otherwise a deterministic sample: all lag-1 and
+    lag-2 pairs, all pairs anchored at either grid end, and a random fill
+    (fixed seed) of 750 pairs in each of up to 16 geometric lag bins from 3
+    to n - 1.  The fill does not shrink as the fixed pairs grow with n, so
+    dense grids keep their long lags.
     """
     if n <= _ALL_PAIRS_LIMIT:
         return np.triu_indices(n, k=1)
@@ -438,13 +440,10 @@ def _midpoint_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
                np.zeros(n - 1, dtype=int), np.arange(n - 1)]
     j_parts = [np.arange(1, n), np.arange(2, n),
                np.arange(1, n), np.full(n - 1, n - 1)]
-    fixed = sum(p.size for p in i_parts)
-    rest = max(_PAIR_BUDGET - fixed, 0)
     rng = np.random.default_rng(_PAIR_SEED)
     bins = np.unique(np.geomspace(3, n - 1, num=17).astype(int))
-    per_bin = max(rest // max(len(bins) - 1, 1), 1)
     for lo_lag, hi_lag in zip(bins[:-1], bins[1:]):
-        lag = rng.integers(lo_lag, hi_lag + 1, size=per_bin)
+        lag = rng.integers(lo_lag, hi_lag + 1, size=_FILL_PER_BIN)
         i = rng.integers(0, n - lag)
         i_parts.append(i)
         j_parts.append(i + lag)
@@ -456,8 +455,10 @@ def check_midpoint(d: Distribution, s: float, grid: Grid,
     """Definition-level midpoint test with theta = 1/2.
 
     For grid pairs x < y checks F((x+y)/2) >= M_{s*}(F(x), F(y); 1/2) and
-    (1-F)((x+y)/2) >= M_{s*}(1-F(x), 1-F(y); 1/2), up to absolute slack
-    ``tol``.  For every s the two inequalities together are equivalent to
+    (1-F)((x+y)/2) >= M_{s*}(1-F(x), 1-F(y); 1/2), up to slack ``tol``
+    relative to the pair's mean M: the margins are F(m)/M - 1 and
+    (1-F)(m)/M - 1, so a deficit deep in a tail counts as much as one in
+    the body.  For every s the two inequalities together are equivalent to
     the convexity/concavity statements of the definition; for s > 0 all
     grid pairs already lie inside the one-sided domains, so no pair is
     excluded.
@@ -470,8 +471,8 @@ def check_midpoint(d: Distribution, s: float, grid: Grid,
     mid = 0.5 * (pts[i] + pts[j])
     Fm = d.cdf(mid)
     Sm = d.sf(mid)
-    d1 = Fm - generalized_mean(F[i], F[j], 0.5, idx.s_star)
-    d2 = Sm - generalized_mean(S[i], S[j], 0.5, idx.s_star)
+    d1 = Fm / generalized_mean(F[i], F[j], 0.5, idx.s_star) - 1.0
+    d2 = Sm / generalized_mean(S[i], S[j], 0.5, idx.s_star) - 1.0
     margins = np.minimum(d1, d2)
     k = int(np.argmin(margins))
     # deterministic witness: smallest offending left abscissa among worst ties

@@ -22,6 +22,7 @@ from biscv import (
     integrate_adaptive,
     parse_spec,
 )
+from biscv import catalog
 from conftest import central_difference
 
 ALL_MEMBERS = [
@@ -76,6 +77,87 @@ def test_parse_errors_carry_position():
 @pytest.mark.parametrize("d", ALL_MEMBERS)
 def test_spec_string_round_trip(d):
     assert parse_spec(d.spec_string()) == d
+
+
+# every family's parameters, in spec order, and those that must be > 0
+FAMILY_PARAMS = {
+    "t": (StudentT, ("r",), ("r",)),
+    "fdist": (FDist, ("a", "b"), ("a", "b")),
+    "pareto": (Pareto, ("a", "b"), ("a", "b")),
+    "gpow": (SphericalPower, ("r",), ("r",)),
+    "norm": (Normal, ("mu", "sigma"), ("sigma",)),
+    "unif": (Uniform, ("lo", "hi"), ()),
+    "normmix": (NormalMixture, ("delta",), ("delta",)),
+    "tmix": (TMixture, ("r", "delta"), ("r", "delta")),
+}
+
+
+def test_registry_holds_each_family_under_a_unique_tag():
+    assert {tag: cls for tag, (cls, _, _) in FAMILY_PARAMS.items()} \
+        == catalog._FAMILY_TABLE
+    tags = [cls.tag for cls in catalog._FAMILY_TABLE.values()]
+    assert len(set(tags)) == len(tags)
+
+
+@pytest.mark.parametrize("tag", FAMILY_PARAMS)
+def test_every_family_round_trips_through_its_spec(tag):
+    cls, keys, _ = FAMILY_PARAMS[tag]
+    d = cls(*[2.5 + k for k in range(len(keys))])
+    assert d.spec_parts() == (tag, [(k, 2.5 + i) for i, k in enumerate(keys)])
+    assert parse_spec(d.spec_string()) == d
+
+
+def test_defaults_round_trip():
+    assert parse_spec("norm").spec_string() == "norm:mu=0,sigma=1"
+    assert parse_spec("unif").spec_string() == "unif:lo=0,hi=1"
+    for spec in ("norm", "unif", "norm:sigma=2", "unif:hi=3"):
+        d = parse_spec(spec)
+        assert parse_spec(d.spec_string()) == d
+
+
+@pytest.mark.parametrize("tag", FAMILY_PARAMS)
+def test_parameter_checks_name_the_parameter(tag):
+    cls, keys, positive = FAMILY_PARAMS[tag]
+    good = dict(zip(keys, (2.0, 3.0)))
+    for key in keys:
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError) as exc:
+                cls(**{**good, key: bad})
+            assert str(exc.value) == f"{key} must be a finite number"
+    for key in positive:
+        for bad in (0.0, -1.0):
+            with pytest.raises(DomainError) as exc:
+                cls(**{**good, key: bad})
+            assert str(exc.value) == f"{key} must be > 0"
+
+
+def test_parameter_checks_run_in_order():
+    # every finiteness check comes before every sign check
+    for d_args, message in [
+            ((0.0, math.inf), "b must be a finite number"),
+            ((0.0, 0.0), "a must be > 0"),
+    ]:
+        for cls in (FDist, Pareto):
+            with pytest.raises(DomainError) as exc:
+                cls(*d_args)
+            assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:
+        TMixture(-1.0, math.nan)
+    assert str(exc.value) == "delta must be a finite number"
+    with pytest.raises(DomainError) as exc:
+        Uniform(2.0, 1.0)
+    assert str(exc.value) == "lo must be < hi"
+    with pytest.raises(DomainError) as exc:
+        Uniform(2.0, math.inf)
+    assert str(exc.value) == "hi must be a finite number"
+
+
+@pytest.mark.parametrize("d", [StudentT(3.0), StudentT(0.5),
+                               SphericalPower(4.0), NormalMixture(1.3),
+                               TMixture(1.0, 1.475)])
+def test_symmetric_law_survival_is_the_reflected_cdf(d):
+    xs = np.concatenate([np.linspace(-9.0, 9.0, 361), [-1e30, -0.0, 1e30]])
+    assert np.array_equal(d.sf(xs), d.cdf(-xs))
 
 
 # ------------------------------------------------------------- point values

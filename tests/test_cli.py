@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -271,6 +272,26 @@ def test_s_inf_is_echoed_as_a_string(command, code):
         if command == "fisher":
             assert doc["report"]["s"] == "inf"
             assert doc["report"]["chain_holds"] is False
+
+
+# s* = 1 - 1/(1+s) rounds to 1 from s ~ 9e15 on: the corridor degenerates to
+# f' = 0 there as at s = inf, so the margins stay finite
+@pytest.mark.parametrize("dist, code", [("norm", 2), ("unif", 0)])
+def test_s_star_rounding_to_one_is_the_flat_corridor(dist, code):
+    got, out, err = run("check", "--dist", dist, "--s", "1e300",
+                        "--method", "all", *FAST)
+    assert got == code and err == ""
+    doc = json.loads(out)
+    validate(doc, "check")
+    assert doc["config"]["s_star"] == 1.0
+
+
+def test_fisher_refusal_at_huge_s_has_a_finite_margin():
+    code, out, err = run("fisher", "--dist", "norm", "--s", "1e300", *FAST)
+    assert code == 2 and err == ""
+    message = json.loads(out)["error"]["message"]
+    margin = float(message.split("margin ")[1].split(")")[0])
+    assert math.isfinite(margin) and margin < 0.0
 
 
 def test_fisher_refusal_exits_two():

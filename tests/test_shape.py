@@ -22,6 +22,7 @@ from biscv import (
 )
 from biscv.shape import (
     Grid,
+    _midpoint_pairs,
     check_condition_iii,
     check_condition_iv,
     check_midpoint,
@@ -226,6 +227,25 @@ def test_midpoint_all_pairs_small_grid():
     d = StudentT(1.0)
     g = make_grid(d, 50, 1e-6)
     assert check_midpoint(d, -0.5, g).passed
+
+
+# t1 mixtures just past the s = -1/2 boundary delta = 1/sqrt(3): the corridor
+# fails, so the midpoint oracle must fail too, on dense grids as well, where
+# its random fill and its relative slack keep the tail deficits in view
+@pytest.mark.parametrize("delta", [0.7, 0.578])
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_checkers_agree_on_t1_mixture_faults(delta, n):
+    d = TMixture(1.0, delta)
+    g = grid_for(d, n)
+    assert [c(d, -0.5, g).verdict for c in CHECKERS] == ["fail"] * 3
+
+
+def test_midpoint_fill_is_kept_on_dense_grids():
+    for n in (2000, 20000):
+        i, j = _midpoint_pairs(n)
+        lag = j - i
+        fixed = (lag <= 2) | (i == 0) | (j == n - 1)
+        assert np.count_nonzero(~fixed) > 11000
 
 
 def test_certificate_fail_contract():

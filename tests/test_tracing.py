@@ -1,6 +1,8 @@
-"""The benchmark's trace mode wraps library names from outside biscv; this
-guards that every name it wraps still exists and is put back afterwards."""
+"""The benchmark drives biscv from outside: its set-up runs warm-up argv,
+and its trace mode wraps library names.  These guard that every warm-up
+runs cleanly and that every wrapped name still exists and is put back."""
 
+import ast
 import io
 from pathlib import Path
 
@@ -44,3 +46,21 @@ def test_trace_install_runs_jobs_and_restores(tracing):
     assert cli._METHODS == methods
     assert all(getattr(catalog.Distribution, a) is f
                for a, f in zip(tracing.EVALUATORS, evaluators))
+
+
+def _warmups() -> dict:
+    # read as data: importing run.py would change this process's environment
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "WARMUPS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no WARMUPS")
+
+
+@pytest.mark.parametrize("argv", [a for argvs in _warmups().values()
+                                  for a in argvs])
+def test_benchmark_warmups_run_cleanly(argv):
+    err = io.StringIO()
+    assert cli.run(argv, io.StringIO(), err) == 0
+    assert err.getvalue() == ""
