@@ -64,7 +64,6 @@ from .shape import (
     cr_right,
     delta_threshold,
     from_star,
-    generalized_mean,
     make_grid,
     max_s,
     to_index,

@@ -210,6 +210,16 @@ class Distribution(ABC):
         """Q(1 - q), without forming 1 - q."""
 
 
+def _log_c_gamma_ratio(a: float, b: float, r: float) -> float:
+    """log(Gamma(a) / (Gamma(b) sqrt(pi r))), the t and gpow log normalizing
+    constant; a DomainError where log Gamma leaves the double range."""
+    try:
+        return math.lgamma(a) - math.lgamma(b) - 0.5 * math.log(math.pi * r)
+    except OverflowError:
+        raise DomainError(f"the normalizing constant at r={r!r} overflows "
+                          "double precision") from None
+
+
 def _fmt_param(v: float) -> str:
     if float(v).is_integer() and abs(v) < 1e15:
         return str(int(v))
@@ -249,9 +259,7 @@ class StudentT(_Symmetric):
 
     @cached_property
     def _log_c(self) -> float:
-        r = self.r
-        return (math.lgamma((r + 1.0) / 2.0) - math.lgamma(r / 2.0)
-                - 0.5 * math.log(math.pi * r))
+        return _log_c_gamma_ratio((self.r + 1.0) / 2.0, self.r / 2.0, self.r)
 
     def _pdf(self, x):
         with np.errstate(over="ignore"):
@@ -437,9 +445,8 @@ class SphericalPower(_Symmetric):
 
     @cached_property
     def _log_c(self) -> float:
-        r = self.r
-        return (math.lgamma((3.0 + r) / 2.0) - math.lgamma(1.0 + r / 2.0)
-                - 0.5 * math.log(math.pi * r))
+        return _log_c_gamma_ratio((3.0 + self.r) / 2.0, 1.0 + self.r / 2.0,
+                                  self.r)
 
     @cached_property
     def _edge(self) -> float:
@@ -715,9 +722,7 @@ def parse_spec(text: str) -> Distribution:
                          f"(known: {', '.join(sorted(_FAMILY_TABLE))})", 0)
     cls = _FAMILY_TABLE[family]
     keys = [f.name for f in fields(cls)]
-    defaults = {f.name: f.default for f in fields(cls)
-                if f.default is not MISSING}
-    params = dict(defaults)
+    params = {}
     if colon >= 0:
         body = text[colon + 1:]
         if not body:
@@ -731,7 +736,7 @@ def parse_spec(text: str) -> Distribution:
             if key not in keys:
                 raise ParseError(f"unknown key {key!r} for family {family!r} "
                                  f"(expected: {', '.join(keys)})", pos)
-            if key in params and key not in defaults:
+            if key in params:
                 raise ParseError(f"duplicate key {key!r}", pos)
             value_text = chunk[eq + 1:].strip()
             if not _NUMBER_RE.fullmatch(value_text):
@@ -739,7 +744,8 @@ def parse_spec(text: str) -> Distribution:
                                  pos + eq + 1)
             params[key] = float(value_text)
             pos += len(chunk) + 1
-    missing = [k for k in keys if k not in params]
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in params]
     if missing:
         raise ParseError(f"missing required key(s): {', '.join(missing)}",
                          len(text))

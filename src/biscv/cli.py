@@ -223,6 +223,8 @@ def _execute(args) -> tuple[dict | str, int]:
             raise UsageError("--eps must lie in (0, 0.1)")
         if 1.0 - args.eps == 1.0:
             raise UsageError("--eps is too small: 1 - eps rounds to 1")
+        if not 0.0 <= args.tol < math.inf:
+            raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
     fmt = args.format or formats[0]
     if fmt not in formats:
         raise UsageError(f"{args.command} only supports --format json")

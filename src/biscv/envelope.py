@@ -30,7 +30,7 @@ import numpy as np
 
 from .catalog import Distribution
 from .errors import DomainError
-from .shape import Grid, reverse_s_star_hazard, s_star_hazard, to_index
+from .shape import Grid, _density, to_index
 
 __all__ = [
     "f_upper",
@@ -55,54 +55,56 @@ def _require_inside(d: Distribution, x) -> None:
             f"x must lie strictly inside the support ({sup.lo}, {sup.hi})")
 
 
+def _star_log(s_star: float, u):
+    """(u^s* - 1)/s* as expm1(s* log u)/s*, and its limit log u at s* = 0."""
+    if s_star == 0.0:
+        return np.log(u)
+    with np.errstate(over="ignore"):
+        return np.expm1(s_star * np.log(u)) / s_star
+
+
 def f_upper(d: Distribution, s: float, x):
     """Convex upper transform F_U at x (may exceed 1; +inf where vacuous)."""
-    idx = to_index(s)
+    s_star = to_index(s).s_star
     _require_inside(d, x)
-    S = d.sf(x)
-    if idx.s_star == 0.0:
-        return -np.log(S) if np.ndim(x) else float(-np.log(S))
-    with np.errstate(over="ignore"):
-        out = -np.expm1(idx.s_star * np.log(S)) / idx.s_star
+    out = -_star_log(s_star, d.sf(x))
     return out if np.ndim(x) else float(out)
 
 
 def f_lower(d: Distribution, s: float, x):
     """Concave lower transform F_L at x (may fall below 0)."""
-    idx = to_index(s)
+    s_star = to_index(s).s_star
     _require_inside(d, x)
-    F = d.cdf(x)
-    if idx.s_star == 0.0:
-        return 1.0 + np.log(F) if np.ndim(x) else float(1.0 + np.log(F))
-    with np.errstate(over="ignore"):
-        out = 1.0 + np.expm1(idx.s_star * np.log(F)) / idx.s_star
+    out = 1.0 + _star_log(s_star, d.cdf(x))
     return out if np.ndim(x) else float(out)
 
 
-def fu_prime(d: Distribution, s: float, x):
-    """F_U' = f/(1-F)^(1-s*); coincides with the s*-hazard."""
+def _hazard(d: Distribution, s: float, x, tail):
+    """f/tail^(1-s*); +inf where it overflows, deep in a tail near s = -1."""
+    s_star = to_index(s).s_star
     _require_inside(d, x)
-    return s_star_hazard(d, s, x)
+    f = _density(d, x)
+    with np.errstate(over="ignore"):
+        return f * np.exp((s_star - 1.0) * np.log(tail(x)))
+
+
+def fu_prime(d: Distribution, s: float, x):
+    """F_U' = f/(1-F)^(1-s*), the s*-hazard (non-decreasing on the class)."""
+    return _hazard(d, s, x, d.sf)
 
 
 def fl_prime(d: Distribution, s: float, x):
-    """F_L' = f/F^(1-s*); coincides with the reverse s*-hazard."""
-    _require_inside(d, x)
-    return reverse_s_star_hazard(d, s, x)
+    """F_L' = f/F^(1-s*), the reverse s*-hazard (non-increasing on the class)."""
+    return _hazard(d, s, x, d.cdf)
 
 
 def fprime_corridor(d: Distribution, s: float, x):
     """The (lo, hi) corridor for f': -(1-s*) f^2/(1-F) and (1-s*) f^2/F."""
-    idx = to_index(s)
+    oms = to_index(s).one_minus_star
     _require_inside(d, x)
-    f = d.pdf(x)
-    if np.any(np.asarray(f) <= 0.0):
-        raise DomainError("density must be positive at the evaluation point")
-    F = d.cdf(x)
-    S = d.sf(x)
-    oms = idx.one_minus_star
-    lo = -oms * f * f / S
-    hi = oms * f * f / F
+    f = _density(d, x)
+    lo = -oms * f * f / d.sf(x)
+    hi = oms * f * f / d.cdf(x)
     if np.ndim(x) == 0:
         return float(lo), float(hi)
     return lo, hi

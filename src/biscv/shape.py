@@ -50,14 +50,11 @@ __all__ = [
     "make_grid",
     "Certificate",
     "CRReport",
-    "generalized_mean",
     "cr",
     "cr_min",
     "cr_right",
     "cr_left",
     "cr_report",
-    "s_star_hazard",
-    "reverse_s_star_hazard",
     "check_condition_iv",
     "check_condition_iii",
     "check_midpoint",
@@ -217,72 +214,17 @@ class CRReport:
                 "theoretical_cap": self.theoretical_cap}
 
 
-# -- generalized mean --------------------------------------------------------
-
-def generalized_mean(a, b, theta: float, t: float):
-    """Power mean M_t(a, b; theta) of non-negative inputs.
-
-    Branches: ((1-theta) a^t + theta b^t)^(1/t) for finite non-zero t,
-    the geometric mean a^(1-theta) b^theta for t = 0, max for t = +inf and
-    min for t = -inf.  For t <= 0 with a zero input the limit convention
-    M = 0 applies.  Continuous in t at 0 (evaluated via expm1/log1p).
-    """
-    if not 0.0 < theta < 1.0:
-        raise DomainError("theta must lie in (0, 1)")
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr < 0.0) or np.any(b_arr < 0.0):
-        raise DomainError("a and b must be >= 0")
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a_arr, b_arr = np.broadcast_arrays(np.atleast_1d(a_arr), np.atleast_1d(b_arr))
-
-    if math.isinf(t):
-        out = np.maximum(a_arr, b_arr) if t > 0 else np.minimum(a_arr, b_arr)
-        return float(out[0]) if scalar else out
-
-    zero = (a_arr == 0.0) | (b_arr == 0.0)
-    safe_a = np.where(zero, 1.0, a_arr)
-    safe_b = np.where(zero, 1.0, b_arr)
-    la = np.log(safe_a)
-    lb = np.log(safe_b)
-
-    if t == 0.0:
-        out = np.exp((1.0 - theta) * la + theta * lb)
-    else:
-        mu = (1.0 - theta) * la + theta * lb
-        da = t * (la - mu)
-        db = t * (lb - mu)
-        small = (np.abs(da) < 1.0) & (np.abs(db) < 1.0)
-        big = ~small
-        out = np.empty_like(mu)
-        # near-geometric regime: expm1/log1p keeps the t -> 0 limit exact;
-        # each regime is evaluated on its own points only
-        m = (1.0 - theta) * np.expm1(da[small]) + theta * np.expm1(db[small])
-        out[small] = np.exp(mu[small] + np.log1p(np.maximum(m, -1.0)) / t)
-        da, db = da[big], db[big]
-        hi = np.maximum(da, db)
-        lse = hi + np.log((1.0 - theta) * np.exp(da - hi)
-                          + theta * np.exp(db - hi))
-        out[big] = np.exp(mu[big] + lse / t)
-
-    if t > 0.0:
-        # one zero input with t > 0 still averages the surviving mass
-        surv = np.where(a_arr == 0.0, theta * b_arr ** t,
-                        (1.0 - theta) * a_arr ** t)
-        out = np.where(zero, surv ** (1.0 / t), out)
-        out = np.where(zero & ~(a_arr + b_arr > 0.0), 0.0, out)
-    else:
-        out = np.where(zero, 0.0, out)
-    return float(out[0]) if scalar else out
-
-
 # -- Csorgo-Revesz functionals ------------------------------------------------
 
-def _fields(d: Distribution, x):
+def _density(d: Distribution, x):
     f = d.pdf(x)
     if np.any(np.asarray(f) <= 0.0):
         raise DomainError("density must be positive at the evaluation point")
-    return f, d.pdf_deriv(x), d.cdf(x), d.sf(x)
+    return f
+
+
+def _fields(d: Distribution, x):
+    return _density(d, x), d.pdf_deriv(x), d.cdf(x), d.sf(x)
 
 
 def cr(d: Distribution, x):
@@ -342,30 +284,6 @@ def cr_report(d: Distribution, s: float, grid: Grid) -> CRReport:
                     theoretical_cap=1.0 / (1.0 + s) if not math.isinf(s) else 0.0)
 
 
-# -- hazards ------------------------------------------------------------------
-
-def s_star_hazard(d: Distribution, s: float, x):
-    """f/(1-F)^(1-s*); non-decreasing exactly on the bi-s*-concave class.
-
-    May overflow to +inf in a deep tail when s is close to -1.
-    """
-    idx = to_index(s)
-    f, _, _, S = _fields(d, x)
-    with np.errstate(over="ignore"):
-        return f * np.exp((idx.s_star - 1.0) * np.log(S))
-
-
-def reverse_s_star_hazard(d: Distribution, s: float, x):
-    """f/F^(1-s*); non-increasing exactly on the bi-s*-concave class.
-
-    May overflow to +inf in a deep tail when s is close to -1.
-    """
-    idx = to_index(s)
-    f, _, F, _ = _fields(d, x)
-    with np.errstate(over="ignore"):
-        return f * np.exp((idx.s_star - 1.0) * np.log(F))
-
-
 # -- checkers -----------------------------------------------------------------
 
 def check_condition_iv(d: Distribution, s: float, grid: Grid,
@@ -408,10 +326,7 @@ def check_condition_iii(d: Distribution, s: float, grid: Grid,
     """
     idx = to_index(s)
     pts = grid.points
-    f = d.pdf(pts)
-    if np.any(f <= 0.0):
-        raise DomainError("density must be positive on the grid")
-    log_f = np.log(f)
+    log_f = np.log(_density(d, pts))
     lt = log_f + (idx.s_star - 1.0) * np.log(d.sf(pts))
     lh = log_f + (idx.s_star - 1.0) * np.log(d.cdf(pts))
     up = lt[1:] - lt[:-1]
@@ -450,6 +365,23 @@ def _midpoint_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(i_parts), np.concatenate(j_parts)
 
 
+def _log_mid_mean(la, lb, t: float):
+    """log M_t(a, b; 1/2) from la = log a, lb = log b: with mu = (la + lb)/2
+    and delta = (la - lb)/2 it is mu + log cosh(t delta)/t, and mu at t = 0.
+    Below |t delta| = 1, log cosh x is log1p(2 sinh(x/2)^2), which keeps its
+    digits as t -> 0."""
+    mu = 0.5 * (la + lb)
+    if t == 0.0:
+        return mu
+    x = np.abs(t * (0.5 * (la - lb)))
+    small = x < 1.0
+    log_cosh = np.empty_like(x)
+    log_cosh[small] = np.log1p(2.0 * np.sinh(0.5 * x[small]) ** 2)
+    big = x[~small]
+    log_cosh[~small] = big + np.log1p(np.exp(-2.0 * big)) - math.log(2.0)
+    return mu + log_cosh / t
+
+
 def check_midpoint(d: Distribution, s: float, grid: Grid,
                    tol: float = DEFAULT_TOL) -> Certificate:
     """Definition-level midpoint test with theta = 1/2.
@@ -458,33 +390,31 @@ def check_midpoint(d: Distribution, s: float, grid: Grid,
     (1-F)((x+y)/2) >= M_{s*}(1-F(x), 1-F(y); 1/2), up to slack ``tol``
     relative to the pair's mean M: the margins are F(m)/M - 1 and
     (1-F)(m)/M - 1, so a deficit deep in a tail counts as much as one in
-    the body.  For every s the two inequalities together are equivalent to
-    the convexity/concavity statements of the definition; for s > 0 all
-    grid pairs already lie inside the one-sided domains, so no pair is
-    excluded.
+    the body.  M is formed in log space from log F and log(1-F), taken once
+    per grid point; both are finite, as every grid point lies inside J(F).
+    For every s the two inequalities together are equivalent to the
+    convexity/concavity statements of the definition; for s > 0 all grid
+    pairs already lie inside the one-sided domains, so no pair is excluded.
     """
     idx = to_index(s)
     pts = grid.points
-    F = d.cdf(pts)
-    S = d.sf(pts)
     i, j = _midpoint_pairs(grid.count)
     mid = 0.5 * (pts[i] + pts[j])
-    Fm = d.cdf(mid)
-    Sm = d.sf(mid)
-    d1 = Fm / generalized_mean(F[i], F[j], 0.5, idx.s_star) - 1.0
-    d2 = Sm / generalized_mean(S[i], S[j], 0.5, idx.s_star) - 1.0
-    margins = np.minimum(d1, d2)
-    k = int(np.argmin(margins))
-    # deterministic witness: smallest offending left abscissa among worst ties
-    worst = margins == margins[k]
-    order = np.lexsort((pts[j][worst], pts[i][worst]))
-    wi = pts[i][worst][order[0]]
-    wj = pts[j][worst][order[0]]
-    margin = float(margins[k])
+
+    def deficit(tail):
+        log_tail = np.log(tail(pts))
+        mean = np.exp(_log_mid_mean(log_tail[i], log_tail[j], idx.s_star))
+        return tail(mid) / mean - 1.0
+
+    margins = np.minimum(deficit(d.cdf), deficit(d.sf))
+    margin = float(margins.min())
     if margin >= -tol:
         return Certificate("pass", "midpoint_def", None, margin, grid, tol)
-    return Certificate("fail", "midpoint_def", (float(wi), float(wj)),
-                       margin, grid, tol)
+    # deterministic witness: the smallest pair (x, y) among the worst ties
+    worst = np.flatnonzero(margins == margin)
+    k = worst[np.lexsort((j[worst], i[worst]))[0]]
+    wi, wj = float(pts[i[k]]), float(pts[j[k]])
+    return Certificate("fail", "midpoint_def", (wi, wj), margin, grid, tol)
 
 
 # -- largest index and mixture threshold ----------------------------------------

@@ -90,6 +90,33 @@ def test_exit_one_on_numerical_error():
     validate(doc, "error")
 
 
+@pytest.mark.parametrize("spec", ["t:r=1e308", "gpow:r=1e308",
+                                  "tmix:r=1e308,delta=1"])
+def test_exit_one_when_the_normalizing_constant_overflows(spec):
+    code, out, err = run("check", "--dist", spec, "--s", "0", *FAST)
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    validate(doc, "error")
+    assert doc["error"]["type"] == "DomainError"
+    assert "normalizing constant" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("spec, where", [
+    ("t:r=1,r=2", "position 6: duplicate key 'r'"),
+    # a key with a default is refused like one without
+    ("norm:mu=1,mu=2", "position 10: duplicate key 'mu'"),
+    ("unif:lo=0,lo=0.5", "position 10: duplicate key 'lo'"),
+])
+def test_exit_one_on_repeated_key(spec, where):
+    code, out, _ = run("catalog", "--dist", spec)
+    assert code == 1
+    doc = json.loads(out)
+    validate(doc, "error")
+    assert doc["error"]["type"] == "ParseError"
+    assert where in doc["error"]["message"]
+
+
 def test_exit_one_on_bad_spec_string():
     code, out, _ = run("catalog", "--dist", "pareto:a=0,b=1")
     assert code == 1
@@ -135,13 +162,18 @@ def test_exit_one_when_the_grid_leaves_double_precision(spec):
      "--search-tol", "1e-3"),                          # closed form: no search
     ("threshold", "--family", "normmix", "--s", "0", "--lo", "1",
      "--hi", "2", "--search", "0.1"),                  # not --search-tol
+    ("check", "--dist", "norm", "--s", "0", "--tol", "inf"),
+    ("check", "--dist", "norm", "--s", "0", "--tol", "nan"),
+    ("check", "--dist", "norm", "--s", "0", "--tol", "-1"),
+    ("max-s", "--dist", "norm", "--lo", "-0.9", "--hi", "1", "--tol", "inf"),
 ])
 def test_exit_usage(argv):
     code, _, err = run(*argv)
     assert code == 64
     assert err.strip()
-    if "--eps" in argv:
-        assert "--eps" in err
+    for option in ("--eps", "--tol"):
+        if option in argv:
+            assert option in err
 
 
 # ------------------------------------------------------------------- commands

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from biscv import (
 )
 from biscv.shape import (
     Grid,
+    _log_mid_mean,
     _midpoint_pairs,
     check_condition_iii,
     check_condition_iv,
@@ -32,11 +34,8 @@ from biscv.shape import (
     cr_right,
     delta_threshold,
     from_star,
-    generalized_mean,
     make_grid,
     max_s,
-    reverse_s_star_hazard,
-    s_star_hazard,
     to_index,
 )
 from conftest import grid_for
@@ -86,48 +85,28 @@ def test_index_round_trip(s):
     assert back == pytest.approx(s, rel=1e-14, abs=1e-14)
 
 
-# ---------------------------------------------------------- generalized mean
+# ------------------------------------------------- midpoint mean in log space
 
-def test_mean_branch_values():
-    assert generalized_mean(4.0, 9.0, 0.5, 0.0) == pytest.approx(6.0, rel=1e-14)
-    assert generalized_mean(4.0, 9.0, 0.5, 1.0) == pytest.approx(6.5, rel=1e-14)
-    assert generalized_mean(2.0, 2.0, 0.3, -1.0) == pytest.approx(2.0, rel=1e-14)
-    assert generalized_mean(4.0, 9.0, 0.5, math.inf) == 9.0
-    assert generalized_mean(4.0, 9.0, 0.5, -math.inf) == 4.0
-
-
-def test_mean_zero_conventions():
-    # limit convention: t <= 0 with a zero input gives 0
-    assert generalized_mean(0.0, 5.0, 0.5, -1.0) == 0.0
-    assert generalized_mean(0.0, 5.0, 0.5, 0.0) == 0.0
-    # t > 0 keeps the surviving weighted mass
-    assert generalized_mean(0.0, 4.0, 0.5, 1.0) == pytest.approx(2.0)
-    assert generalized_mean(0.0, 0.0, 0.5, 2.0) == 0.0
+# log F down to -690, F = e^-690 ~ 3e-300, the smallest tail mass a grid
+# can hold
+_LOG_PAIRS = [(-0.1, -0.2), (-1e-9, -3.0), (-5.0, -5.0), (-40.0, -1e-12),
+              (-690.0, -0.5), (-690.0, -689.0), (-300.0, -690.0),
+              (-2.0, -0.7)]
 
 
-def test_mean_ordering_between_min_and_max():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a, b = rng.uniform(0.01, 20.0, size=2)
-        t = rng.uniform(-5.0, 5.0)
-        m = generalized_mean(a, b, 0.5, t)
-        assert min(a, b) - 1e-12 <= m <= max(a, b) + 1e-12
-
-
-@given(st.floats(min_value=0.1, max_value=10.0),
-       st.floats(min_value=0.1, max_value=10.0))
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_mean_continuous_at_zero(a, b):
-    m0 = generalized_mean(a, b, 0.5, 0.0)
-    for t in (1e-12, -1e-12):
-        assert abs(generalized_mean(a, b, 0.5, t) - m0) <= 1e-10
-
-
-def test_mean_vectorized():
-    a = np.array([1.0, 4.0, 9.0])
-    b = np.array([1.0, 9.0, 4.0])
-    out = generalized_mean(a, b, 0.5, 0.0)
-    np.testing.assert_allclose(out, [1.0, 6.0, 6.0], rtol=1e-14)
+@pytest.mark.parametrize("t", [-999.0, -1.0, -1e-12, 0.0, 1e-12, 0.5, 1.0])
+def test_log_mid_mean_matches_mpmath(t):
+    la, lb = (np.array(v) for v in zip(*_LOG_PAIRS))
+    got = _log_mid_mean(la, lb, t)
+    with mpmath.workdps(60):
+        for a, b, g in zip(la, lb, got):
+            if t == 0.0:
+                ref = (mpmath.mpf(a) + mpmath.mpf(b)) / 2
+            else:
+                tt = mpmath.mpf(t)
+                ref = mpmath.log((mpmath.exp(tt * mpmath.mpf(a))
+                                  + mpmath.exp(tt * mpmath.mpf(b))) / 2) / tt
+            assert abs(g - float(ref)) <= 2e-13, (a, b, g, float(ref))
 
 
 # ------------------------------------------------------------- CR functionals
@@ -263,18 +242,6 @@ def test_checker_determinism():
     a = check_midpoint(d, -0.5, g)
     b = check_midpoint(d, -0.5, g)
     assert a == b
-
-
-# ------------------------------------------------ hazards match the envelope
-
-def test_hazards_are_envelope_derivatives():
-    d = StudentT(1.0)
-    xs = grid_for(d).points[::100]
-    np.testing.assert_allclose(s_star_hazard(d, -0.5, xs),
-                               bv.fu_prime(d, -0.5, xs), rtol=1e-14)
-    np.testing.assert_allclose(reverse_s_star_hazard(d, -0.5, xs),
-                               bv.fl_prime(d, -0.5, xs), rtol=1e-14)
-    assert s_star_hazard(d, -0.5, 0.0) == pytest.approx(4.0 / math.pi, rel=1e-13)
 
 
 # ----------------------------------------------------- agreement & invariants
