@@ -30,7 +30,7 @@ import numpy as np
 
 from .catalog import Distribution
 from .errors import DomainError
-from .shape import Grid, _density, to_index
+from .shape import Grid, _density, _fields, to_index
 
 __all__ = [
     "f_upper",
@@ -55,6 +55,11 @@ def _require_inside(d: Distribution, x) -> None:
             f"x must lie strictly inside the support ({sup.lo}, {sup.hi})")
 
 
+def _like(x, out):
+    """``out`` as a Python float when x is a scalar."""
+    return out if np.ndim(x) else float(out)
+
+
 def _star_log(s_star: float, u):
     """(u^s* - 1)/s* as expm1(s* log u)/s*, and its limit log u at s* = 0."""
     if s_star == 0.0:
@@ -63,51 +68,51 @@ def _star_log(s_star: float, u):
         return np.expm1(s_star * np.log(u)) / s_star
 
 
+def _hazard(s_star: float, f, tail):
+    """f/tail^(1-s*); +inf where it overflows, deep in a tail near s = -1."""
+    with np.errstate(over="ignore"):
+        return f * np.exp((s_star - 1.0) * np.log(tail))
+
+
+def _corridor(one_minus_star: float, f, F, S):
+    """-(1-s*) f^2/(1-F) and (1-s*) f^2/F."""
+    return -one_minus_star * f * f / S, one_minus_star * f * f / F
+
+
 def f_upper(d: Distribution, s: float, x):
     """Convex upper transform F_U at x (may exceed 1; +inf where vacuous)."""
     s_star = to_index(s).s_star
     _require_inside(d, x)
-    out = -_star_log(s_star, d.sf(x))
-    return out if np.ndim(x) else float(out)
+    return _like(x, -_star_log(s_star, d.sf(x)))
 
 
 def f_lower(d: Distribution, s: float, x):
     """Concave lower transform F_L at x (may fall below 0)."""
     s_star = to_index(s).s_star
     _require_inside(d, x)
-    out = 1.0 + _star_log(s_star, d.cdf(x))
-    return out if np.ndim(x) else float(out)
-
-
-def _hazard(d: Distribution, s: float, x, tail):
-    """f/tail^(1-s*); +inf where it overflows, deep in a tail near s = -1."""
-    s_star = to_index(s).s_star
-    _require_inside(d, x)
-    f = _density(d, x)
-    with np.errstate(over="ignore"):
-        return f * np.exp((s_star - 1.0) * np.log(tail(x)))
+    return _like(x, 1.0 + _star_log(s_star, d.cdf(x)))
 
 
 def fu_prime(d: Distribution, s: float, x):
     """F_U' = f/(1-F)^(1-s*), the s*-hazard (non-decreasing on the class)."""
-    return _hazard(d, s, x, d.sf)
+    s_star = to_index(s).s_star
+    _require_inside(d, x)
+    return _like(x, _hazard(s_star, _density(d, x), d.sf(x)))
 
 
 def fl_prime(d: Distribution, s: float, x):
     """F_L' = f/F^(1-s*), the reverse s*-hazard (non-increasing on the class)."""
-    return _hazard(d, s, x, d.cdf)
+    s_star = to_index(s).s_star
+    _require_inside(d, x)
+    return _like(x, _hazard(s_star, _density(d, x), d.cdf(x)))
 
 
 def fprime_corridor(d: Distribution, s: float, x):
     """The (lo, hi) corridor for f': -(1-s*) f^2/(1-F) and (1-s*) f^2/F."""
     oms = to_index(s).one_minus_star
     _require_inside(d, x)
-    f = _density(d, x)
-    lo = -oms * f * f / d.sf(x)
-    hi = oms * f * f / d.cdf(x)
-    if np.ndim(x) == 0:
-        return float(lo), float(hi)
-    return lo, hi
+    lo, hi = _corridor(oms, _density(d, x), d.cdf(x), d.sf(x))
+    return _like(x, lo), _like(x, hi)
 
 
 def pointwise_band(d: Distribution, s: float, x, t):
@@ -159,18 +164,17 @@ def pointwise_band(d: Distribution, s: float, x, t):
 def emit_envelope_table(d: Distribution, s: float,
                         grid: Grid) -> tuple[np.ndarray, ...]:
     """The table as one array per CSV_HEADER column, in header order; rows
-    follow the grid, strictly increasing in x."""
-    to_index(s)
+    follow the grid, strictly increasing in x.  The law is sampled once per
+    grid point, and the columns are the transforms above applied to it."""
+    idx = to_index(s)
     pts = grid.points
-    F = d.cdf(pts)
-    f = d.pdf(pts)
-    fp = d.pdf_deriv(pts)
-    FU = f_upper(d, s, pts)
-    FL = f_lower(d, s, pts)
-    FUp = fu_prime(d, s, pts)
-    FLp = fl_prime(d, s, pts)
-    lo, hi = fprime_corridor(d, s, pts)
-    return pts, F, FL, FU, f, FLp, FUp, fp, lo, hi
+    _require_inside(d, pts)
+    f, fp, F, S = _fields(d, pts)
+    FU = -_star_log(idx.s_star, S)
+    FL = 1.0 + _star_log(idx.s_star, F)
+    lo, hi = _corridor(idx.one_minus_star, f, F, S)
+    return (pts, F, FL, FU, f, _hazard(idx.s_star, f, F),
+            _hazard(idx.s_star, f, S), fp, lo, hi)
 
 
 def write_envelope_csv(columns: Sequence[np.ndarray], stream: IO[str]) -> None:

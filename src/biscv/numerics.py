@@ -4,7 +4,9 @@ and predicate bisection (the mixture threshold search; max_s needs none).
 Everything here is a pure function of its arguments.  The quadrature rule is
 an embedded Gauss-Kronrod 7/15 pair; infinite endpoints are mapped to a
 finite parameter interval with the rational substitution ``x = t/(1 - t^2)``,
-whose smoothness preserves polynomial and sub-exponential tails.
+whose smoothness preserves polynomial and sub-exponential tails.  The
+maximizer samples its objective on arrays only: a seed scan, then rescans of
+17 points between the best point's neighbours.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ _G7_SLICE = slice(1, 15, 2)
 
 SUBDIVISION_CAP = 2000
 _ABS_FLOOR = 1e-14
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_RESCAN_POINTS = 17  # the bracket narrows 8x per rescan
 
 
 @dataclass(frozen=True)
@@ -92,17 +93,16 @@ def _eval_vectorized(fn: Callable, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_eval(fn: Callable, xs: np.ndarray) -> np.ndarray:
+def _checked_eval(fn: Callable, xs: np.ndarray, what: str = "integrand") -> np.ndarray:
     out = _eval_vectorized(fn, xs)
     bad = np.isnan(out)
     if bad.any():
-        raise EvaluationError("integrand returned NaN", float(xs[np.argmax(bad)]))
+        raise EvaluationError(f"{what} returned NaN", float(xs[np.argmax(bad)]))
     return out
 
 
 def _robust_sum(values) -> float:
     """fsum that degrades gracefully in the presence of infinities."""
-    finite = 0.0
     pos = neg = False
     items = []
     for v in values:
@@ -265,10 +265,11 @@ def maximize_scalar(objective: Callable, lo: float, hi: float,
                     seed_points: int = 33, tol: float = 1e-8) -> BracketResult:
     """Locate a maximum of ``objective`` on ``[lo, hi]``.
 
-    Scans ``seed_points`` equispaced abscissas, then refines the bracket
-    around the best seed by golden-section search until its width is at
-    most ``tol``.  Deterministic: ties between equal seed values go to the
-    smaller abscissa.
+    Scans ``seed_points`` equispaced abscissas in one vectorized call, then
+    rescans 17 equispaced points between the best point's neighbours, a
+    bracket 8x narrower per level, until its width is at most ``tol`` (or
+    stops narrowing at floating-point resolution).  The best point of every
+    scan is kept.  Deterministic: ties go to the smaller abscissa.
     """
     if not lo < hi:
         raise DomainError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
@@ -278,44 +279,20 @@ def maximize_scalar(objective: Callable, lo: float, hi: float,
         raise DomainError("tol must be > 0")
 
     xs = np.linspace(lo, hi, seed_points)
-    vals = _eval_vectorized(objective, xs)
-    bad = np.isnan(vals)
-    if bad.any():
-        raise EvaluationError("objective returned NaN", float(xs[np.argmax(bad)]))
-
-    best = int(np.argmax(vals))  # first occurrence: smaller abscissa on ties
-    best_x = float(xs[best])
-    best_v = float(vals[best])
-
-    a = float(xs[max(best - 1, 0)])
-    b = float(xs[min(best + 1, seed_points - 1)])
-
-    def f(x: float) -> float:
-        v = float(objective(x))
-        if math.isnan(v):
-            raise EvaluationError("objective returned NaN", x)
-        return v
-
-    m1 = b - _GOLDEN * (b - a)
-    m2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(m1), f(m2)
-    for _ in range(500):
-        if b - a <= tol:
+    best_x, best_v, width = math.inf, -math.inf, math.inf
+    while True:
+        vals = _checked_eval(objective, xs, "objective")
+        i = int(np.argmax(vals))  # first occurrence: smaller abscissa on ties
+        x, v = float(xs[i]), float(vals[i])
+        if v > best_v or (v == best_v and x < best_x):
+            best_x, best_v = x, v
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        if b - a <= tol or not b - a < width:
             break
-        if f1 >= f2:  # keep the left candidate on ties: smaller abscissa
-            b, m2, f2 = m2, m1, f1
-            m1 = b - _GOLDEN * (b - a)
-            f1 = f(m1)
-        else:
-            a, m1, f1 = m1, m2, f2
-            m2 = a + _GOLDEN * (b - a)
-            f2 = f(m2)
-
-    width = b - a
-    cand_x, cand_v = (m1, f1) if f1 >= f2 else (m2, f2)
-    if cand_v > best_v or (cand_v == best_v and cand_x < best_x):
-        best_x, best_v = cand_x, cand_v
-    return BracketResult(location=best_x, value=best_v, bracket_width=width)
+        width = b - a
+        xs = np.linspace(a, b, _RESCAN_POINTS)
+    return BracketResult(location=best_x, value=best_v,
+                         bracket_width=float(b - a))
 
 
 def bisect_boundary(predicate: Callable[[float], bool], lo: float, hi: float,

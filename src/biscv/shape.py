@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -135,7 +134,7 @@ class Grid:
         return int(self.points.size)
 
     def to_dict(self) -> dict:
-        return {"points": [float(v) for v in self.points],
+        return {"points": self.points.tolist(),
                 "eps": self.eps, "count": self.count}
 
 
@@ -254,30 +253,29 @@ def cr_left(d: Distribution, x):
 def cr_report(d: Distribution, s: float, grid: Grid) -> CRReport:
     """Grid suprema of |CR| and |CR_min|, refined around the best point.
 
-    The refinement runs a seeded golden-section maximization between the
-    grid neighbours of the argmax, so values attained in a tail limit are
-    reported as the grid-refined maximum up to the truncation eps.
+    One ``_fields`` sample of the grid gives both functionals, with the same
+    floating-point operations as ``cr`` and ``cr_min``.  Each is refined by
+    ``maximize_scalar``, whose array rescans narrow in between the grid
+    neighbours of the argmax, so values attained in a tail limit are reported
+    as the grid-refined maximum up to the truncation eps.
     """
     to_index(s)  # validate
     pts = grid.points
 
-    def refine(values: np.ndarray, objective: Callable[[float], float]):
+    def refine(values: np.ndarray, cr_fn):
         i = int(np.argmax(values))
-        lo = pts[max(i - 1, 0)]
-        hi = pts[min(i + 1, grid.count - 1)]
-        best_x, best_v = float(pts[i]), float(values[i])
-        if hi > lo:
-            res = maximize_scalar(objective, float(lo), float(hi),
-                                  seed_points=33,
-                                  tol=max((hi - lo) * 1e-8, 1e-13))
-            if res.value > best_v:
-                best_x, best_v = res.location, res.value
-        return best_x, best_v
+        lo, hi = float(pts[max(i - 1, 0)]), float(pts[min(i + 1, grid.count - 1)])
+        res = maximize_scalar(lambda x: np.abs(cr_fn(d, x)), lo, hi, seed_points=33,
+                              tol=max((hi - lo) * 1e-8, 1e-13))
+        if res.value > values[i]:
+            return res.location, res.value
+        return float(pts[i]), float(values[i])
 
-    abs_cr = np.abs(cr(d, pts))
-    argmax_gamma, gamma = refine(abs_cr, lambda x: abs(cr(d, x)))
-    abs_cr_min = np.abs(cr_min(d, pts))
-    _, gamma_tilde = refine(abs_cr_min, lambda x: abs(cr_min(d, x)))
+    f, fp, F, S = _fields(d, pts)
+    left = (F / f) * (fp / f)
+    argmax_gamma, gamma = refine(np.abs(left * S), cr)
+    _, gamma_tilde = refine(
+        np.abs(np.where(F <= S, left, (S / f) * (fp / f))), cr_min)
     gamma_tilde = max(gamma_tilde, gamma)  # F(1-F) <= min(F, 1-F) pointwise
     return CRReport(gamma=gamma, gamma_tilde=gamma_tilde,
                     argmax_gamma=argmax_gamma,

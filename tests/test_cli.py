@@ -6,9 +6,10 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from biscv import StudentT, cli
+from biscv import StudentT, catalog, cli
 from biscv.envelope import CSV_HEADER
 from biscv.shape import cr_right
 
@@ -256,6 +257,56 @@ def test_envelope_json_format():
     doc = json.loads(out)
     validate(doc, "envelope")
     assert len(doc["rows"]) == 64
+
+
+@pytest.mark.parametrize("cell, valid", [
+    ("-inf", True), ("inf", True), ("nan", False), (None, False)])
+def test_envelope_schema_cells(cell, valid):
+    code, out, _ = run("envelope", "--dist", "norm", "--s", "0",
+                       "--format", "json", *FAST)
+    assert code == 0
+    doc = json.loads(out)
+    doc["rows"][3]["FU_prime"] = cell
+    if valid:
+        validate(doc, "envelope")
+    else:
+        with pytest.raises(jsonschema.ValidationError):
+            validate(doc, "envelope")
+
+
+EVALUATORS = ("pdf", "pdf_deriv", "cdf", "sf")
+
+
+def test_no_job_evaluates_the_law_at_a_single_point(monkeypatch):
+    # count points per call of each public evaluator, as the benchmark's
+    # catalog.eval.points does
+    calls = []
+    for name in EVALUATORS:
+        def counted(dist, x, _fn=getattr(catalog.Distribution, name)):
+            calls.append(int(np.size(x)))
+            return _fn(dist, x)
+        monkeypatch.setattr(catalog.Distribution, name, counted)
+    n = 64
+    g = ["--grid-points", str(n)]
+    jobs = {
+        "check": ["check", "--dist", "normmix:delta=1", "--s", "0", *g],
+        "gamma": ["gamma", "--dist", "normmix:delta=3", "--s", "0", *g],
+        "max-s": ["max-s", "--dist", "t:r=3", "--lo", "-0.5", "--hi", "0", *g],
+        "threshold": ["threshold", "--family", "normmix", "--s", "0",
+                      "--lo", "1", "--hi", "2", "--search-tol", "0.1", *g],
+        "envelope": ["envelope", "--dist", "t:r=1", "--s", "-0.5", *g],
+        "fisher": ["fisher", "--dist", "norm", "--s", "0", *g],
+        "catalog": ["catalog", "--dist", "gpow:r=4"],
+    }
+    points = {}
+    for kind, argv in jobs.items():
+        del calls[:]
+        code, _, err = run(*argv)
+        assert code == 0 and err == "", kind
+        assert all(k >= 2 for k in calls), (kind, min(calls))
+        points[kind] = sum(calls)
+    assert points["envelope"] <= 5 * n
+    assert points["gamma"] > 0
 
 
 def test_fisher_document():

@@ -41,6 +41,30 @@ SANDWICH_MEMBERS = [
 
 # ----------------------------------------------------------------- spot values
 
+def test_scalar_x_gives_python_floats():
+    d, s, x = StudentT(1.0), -0.5, 0.7
+    values = [f_upper(d, s, x), f_lower(d, s, x), fu_prime(d, s, x),
+              fl_prime(d, s, x), *fprime_corridor(d, s, x),
+              *pointwise_band(d, s, x, 0.3)]
+    assert [type(v) for v in values] == [float] * 8
+
+
+def test_table_columns_match_the_public_transforms():
+    d, s = NormalMixture(1.0), -0.25
+    grid = make_grid(d, 64)
+    pts, F, FL, FU, f, FLp, FUp, fp, lo, hi = emit_envelope_table(d, s, grid)
+    np.testing.assert_array_equal(FU, f_upper(d, s, pts))
+    np.testing.assert_array_equal(FL, f_lower(d, s, pts))
+    np.testing.assert_array_equal(FUp, fu_prime(d, s, pts))
+    np.testing.assert_array_equal(FLp, fl_prime(d, s, pts))
+    corridor = fprime_corridor(d, s, pts)
+    np.testing.assert_array_equal(lo, corridor[0])
+    np.testing.assert_array_equal(hi, corridor[1])
+    np.testing.assert_array_equal(F, d.cdf(pts))
+    np.testing.assert_array_equal(f, d.pdf(pts))
+    np.testing.assert_array_equal(fp, d.pdf_deriv(pts))
+
+
 def test_f_upper_lower_student_t_spot():
     d = StudentT(1.0)
     # F(0) = 1/2 and s* = -1: F_U = (1/2)^-1 - 1, F_L = 2 - (1/2)^-1

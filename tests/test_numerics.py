@@ -107,7 +107,7 @@ def test_maximize_parabola():
     res = maximize_scalar(lambda x: -x * x, -1.0, 1.0, seed_points=33, tol=1e-10)
     assert res.location == pytest.approx(0.0, abs=1e-8)
     assert res.value == pytest.approx(0.0, abs=1e-15)
-    assert res.bracket_width <= 1e-10 or res.bracket_width <= 2.0 / 32
+    assert res.bracket_width <= 1e-10
 
 
 def test_maximize_sin():
@@ -151,6 +151,38 @@ def test_maximize_nan_objective():
     with pytest.raises(EvaluationError):
         maximize_scalar(lambda x: np.where(np.asarray(x) > 0, np.nan, 0.0),
                         -1.0, 1.0, 11, 1e-6)
+
+
+def test_maximize_nan_reached_only_by_a_rescan():
+    # the seeds (spacing 1/16) and the first rescan miss the NaN window
+    # around the peak at 0.01; the second rescan lands in it
+    def objective(x):
+        x = np.asarray(x)
+        return np.where(np.abs(x - 0.01) < 1e-3, np.nan, -(x - 0.01) ** 2)
+
+    assert not np.isnan(objective(np.linspace(-1.0, 1.0, 33))).any()
+    with pytest.raises(EvaluationError) as exc:
+        maximize_scalar(objective, -1.0, 1.0, seed_points=33, tol=1e-10)
+    assert abs(exc.value.abscissa - 0.01) < 1e-3
+    assert not np.any(np.linspace(-1.0, 1.0, 33) == exc.value.abscissa)
+
+
+def test_maximize_three_seeds_narrow_to_tol():
+    res = maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0,
+                          seed_points=3, tol=1e-9)
+    assert res.bracket_width <= 1e-9
+    assert res.location == pytest.approx(0.3, abs=1e-9)
+
+
+def test_maximize_samples_on_arrays_only():
+    sizes = []
+
+    def objective(x):
+        sizes.append(np.size(x))
+        return np.sin(x)
+
+    maximize_scalar(objective, 0.0, math.pi, seed_points=33, tol=1e-12)
+    assert sizes[0] == 33 and set(sizes[1:]) == {17}
 
 
 # ------------------------------------------------------------ bisect_boundary

@@ -154,6 +154,21 @@ def test_cr_report_values():
     assert rep.theoretical_cap == 0.0
 
 
+def test_cr_report_refines_the_interior_peak():
+    # grid-only gamma is 1.4 % low here; the rescans must reach the peak
+    # that a dense scan between the argmax's grid neighbours sees
+    d = NormalMixture(3.0)
+    grid = make_grid(d, 2000)
+    rep = cr_report(d, 0.0, grid)
+    pts = grid.points
+    i = int(np.argmax(np.abs(cr(d, pts))))
+    assert 0 < i < grid.count - 1  # an interior peak, not a tail limit
+    scan = np.max(np.abs(cr(d, np.linspace(pts[i - 1], pts[i + 1], 10 ** 6))))
+    assert rep.gamma >= scan * (1.0 - 1e-13)
+    assert rep.gamma - scan <= 1e-10 * scan
+    assert rep.gamma > np.max(np.abs(cr(d, pts))) * 1.01
+
+
 # ------------------------------------------------------------------ checkers
 
 def test_iv_pareto_boundary_case():
