@@ -58,7 +58,6 @@ from .shape import (
     check_condition_iv,
     check_midpoint,
     cr,
-    cr_left,
     cr_min,
     cr_report,
     cr_right,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .catalog import Distribution
 from .errors import DomainError
-from .shape import Grid, _density, _fields, to_index
+from .shape import Grid, _corridor, _density, _sample, to_index
 
 __all__ = [
     "f_upper",
@@ -72,11 +72,6 @@ def _hazard(s_star: float, f, tail):
     """f/tail^(1-s*); +inf where it overflows, deep in a tail near s = -1."""
     with np.errstate(over="ignore"):
         return f * np.exp((s_star - 1.0) * np.log(tail))
-
-
-def _corridor(one_minus_star: float, f, F, S):
-    """-(1-s*) f^2/(1-F) and (1-s*) f^2/F."""
-    return -one_minus_star * f * f / S, one_minus_star * f * f / F
 
 
 def f_upper(d: Distribution, s: float, x):
@@ -164,12 +159,12 @@ def pointwise_band(d: Distribution, s: float, x, t):
 def emit_envelope_table(d: Distribution, s: float,
                         grid: Grid) -> tuple[np.ndarray, ...]:
     """The table as one array per CSV_HEADER column, in header order; rows
-    follow the grid, strictly increasing in x.  The law is sampled once per
-    grid point, and the columns are the transforms above applied to it."""
+    follow the grid, strictly increasing in x, and the columns are the
+    transforms above applied to the grid's sample of the law."""
     idx = to_index(s)
+    f, fp, F, S = _sample(d, grid)
     pts = grid.points
     _require_inside(d, pts)
-    f, fp, F, S = _fields(d, pts)
     FU = -_star_log(idx.s_star, S)
     FL = 1.0 + _star_log(idx.s_star, F)
     lo, hi = _corridor(idx.one_minus_star, f, F, S)

@@ -8,7 +8,8 @@ s* = s/(1+s), when
 * s > 0:  F^(s*) is concave on (inf J(F), inf) and (1-F)^(s*) is concave
   on (-inf, sup J(F)).
 
-Three independent checkers certify the property on a quantile grid:
+A quantile ``Grid`` carries the law's one sample (f, f', F, 1-F) at its
+points; three independent checkers read it to certify the property:
 
 ``check_condition_iv``
     The derivative corridor -(1-s*) f^2/(1-F) <= f' <= (1-s*) f^2/F.
@@ -18,8 +19,8 @@ Three independent checkers certify the property on a quantile grid:
 ``check_midpoint``
     The definition-level midpoint inequality F((x+y)/2) >= M_{s*}(F(x),
     F(y); 1/2), together with the same for 1-F, where M is the generalized
-    (power) mean.  This checker is derivative-free and acts as the oracle
-    for the other two.
+    (power) mean.  This checker is derivative-free, evaluates F and 1-F at
+    the midpoints only, and acts as the oracle for the other two.
 
 ``cr_report`` evaluates the Csorgo-Revesz functionals
 
@@ -33,7 +34,8 @@ bi-s*-concave class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +54,6 @@ __all__ = [
     "cr",
     "cr_min",
     "cr_right",
-    "cr_left",
     "cr_report",
     "check_condition_iv",
     "check_condition_iii",
@@ -111,31 +112,64 @@ def from_star(s_star: float) -> ConcavityIndex:
 
 @dataclass(frozen=True)
 class Grid:
-    """Quantile-spaced evaluation abscissas strictly inside J(F).
-
-    ``points`` are quantile(p_i) for p_i equispaced on [eps, 1-eps]; the two
-    tails each exclude quantile mass eps.
+    """Quantile-spaced abscissas strictly inside J(F), and the law sampled
+    there once: ``f``, ``fp``, ``F`` and ``S`` are the density, its
+    derivative, F and 1-F at ``points``, read-only.  The checkers, ``max_s``,
+    the grid sweep of ``cr_report`` and the envelope table read them.
+    ``make_grid`` takes the quantile levels equispaced on [eps, 1-eps].
     """
 
     points: np.ndarray
     eps: float
+    law: Distribution = field(compare=False, repr=False)
+    f: np.ndarray = field(compare=False, repr=False)
+    fp: np.ndarray = field(compare=False, repr=False)
+    F: np.ndarray = field(compare=False, repr=False)
+    S: np.ndarray = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 3:
+    @classmethod
+    def at_levels(cls, d: Distribution, p, eps: float) -> Grid:
+        """The grid at the quantiles of ``d`` at levels ``p``: a DomainError
+        where a point or its squared density is not finite or the density is
+        not positive, or where there are fewer than 3 points or they do not
+        strictly increase."""
+        points = d.quantile(p)
+        with np.errstate(over="ignore"):
+            f = d.pdf(points)
+            ok = np.isfinite(points) & np.isfinite(f * f) & (f > 0.0)
+        if not np.all(ok):
+            raise _beyond_double(p, points, f)
+        if np.ndim(points) != 1 or np.size(points) < 3:
             raise DomainError("grid needs at least 3 points")
-        if not np.all(np.diff(pts) > 0.0):
+        if not np.all(np.diff(points) > 0.0):
             raise DomainError("grid points must be strictly increasing")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        sample = (points, f, d.pdf_deriv(points), d.cdf(points), d.sf(points))
+        for a in sample:
+            a.setflags(write=False)
+        return cls(points, eps, d, *sample[1:])
 
     @property
     def count(self) -> int:
         return int(self.points.size)
 
+    @cached_property
+    def _point_list(self) -> list:  # one list for every document that embeds it
+        return self.points.tolist()
+
     def to_dict(self) -> dict:
-        return {"points": self.points.tolist(),
-                "eps": self.eps, "count": self.count}
+        return {"points": self._point_list, "eps": self.eps, "count": self.count}
+
+
+def _beyond_double(p, points, f) -> DomainError:
+    """Names the first point where x or f^2 leaves the normal double range."""
+    with np.errstate(over="ignore"):
+        f2 = f * f
+    i = int(np.argmax(~(np.isfinite(points) & np.isfinite(f2)
+                        & (f2 >= np.finfo(float).tiny))))
+    return DomainError(
+        f"the grid point at p={float(p[i])!r} is x={float(points[i])!r}, "
+        f"where the point or its squared density is beyond double "
+        f"precision; use a larger eps (--eps)")
 
 
 def make_grid(d: Distribution, n: int = DEFAULT_GRID_POINTS,
@@ -151,18 +185,10 @@ def make_grid(d: Distribution, n: int = DEFAULT_GRID_POINTS,
     if not 0.0 < eps < 0.1:
         raise DomainError("eps must lie in (0, 0.1)")
     p = np.linspace(eps, 1.0 - eps, n)
-    points = d.quantile(p)
-    with np.errstate(over="ignore"):
-        f2 = d.pdf(points) ** 2
-    bad = ~(np.isfinite(points) & np.isfinite(f2)
-            & (f2 >= np.finfo(float).tiny))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"the grid point at p={float(p[i])!r} is x={float(points[i])!r}, "
-            f"where the point or its squared density is beyond double "
-            f"precision; use a larger eps (--eps)")
-    return Grid(points=points, eps=eps)
+    grid = Grid.at_levels(d, p, eps)
+    if np.any(grid.f * grid.f < np.finfo(float).tiny):
+        raise _beyond_double(p, grid.points, grid.f)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -187,12 +213,9 @@ class Certificate:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        if self.witness is None:
-            witness = None
-        elif isinstance(self.witness, tuple):
-            witness = [float(self.witness[0]), float(self.witness[1])]
-        else:
-            witness = float(self.witness)
+        witness = self.witness
+        if isinstance(witness, tuple):
+            witness = list(witness)
         return {"verdict": self.verdict, "condition": self.condition,
                 "witness": witness, "margin": float(self.margin),
                 "grid": self.grid.to_dict(), "tolerance": self.tolerance}
@@ -226,6 +249,19 @@ def _fields(d: Distribution, x):
     return _density(d, x), d.pdf_deriv(x), d.cdf(x), d.sf(x)
 
 
+def _sample(d: Distribution, grid: Grid):
+    """The grid's (f, f', F, 1-F), once it is known to be a sample of d."""
+    if grid.law != d:
+        raise DomainError(f"the grid samples {grid.law.spec_string()}, "
+                          f"not {d.spec_string()}")
+    return grid.f, grid.fp, grid.F, grid.S
+
+
+def _corridor(one_minus_star: float, f, F, S):
+    """-(1-s*) f^2/(1-F) and (1-s*) f^2/F."""
+    return -one_minus_star * f * f / S, one_minus_star * f * f / F
+
+
 def cr(d: Distribution, x):
     """F (1-F) f'/f^2, evaluated as (F/f)(f'/f)(1-F) to survive deep tails."""
     f, fp, F, S = _fields(d, x)
@@ -244,22 +280,17 @@ def cr_right(d: Distribution, x):
     return (S / f) * (fp / f)
 
 
-def cr_left(d: Distribution, x):
-    """F f'/f^2."""
-    f, fp, F, _ = _fields(d, x)
-    return (F / f) * (fp / f)
-
-
 def cr_report(d: Distribution, s: float, grid: Grid) -> CRReport:
     """Grid suprema of |CR| and |CR_min|, refined around the best point.
 
-    One ``_fields`` sample of the grid gives both functionals, with the same
-    floating-point operations as ``cr`` and ``cr_min``.  Each is refined by
+    The grid's sample gives both functionals, with the same floating-point
+    operations as ``cr`` and ``cr_min``.  Each is refined by
     ``maximize_scalar``, whose array rescans narrow in between the grid
     neighbours of the argmax, so values attained in a tail limit are reported
     as the grid-refined maximum up to the truncation eps.
     """
     to_index(s)  # validate
+    f, fp, F, S = _sample(d, grid)
     pts = grid.points
 
     def refine(values: np.ndarray, cr_fn):
@@ -271,7 +302,6 @@ def cr_report(d: Distribution, s: float, grid: Grid) -> CRReport:
             return res.location, res.value
         return float(pts[i]), float(values[i])
 
-    f, fp, F, S = _fields(d, pts)
     left = (F / f) * (fp / f)
     argmax_gamma, gamma = refine(np.abs(left * S), cr)
     _, gamma_tilde = refine(
@@ -294,22 +324,21 @@ def check_condition_iv(d: Distribution, s: float, grid: Grid,
     compared against the same scale without the vanishing (1-s*) factor.
     """
     idx = to_index(s)
-    pts = grid.points
-    f, fp, F, S = _fields(d, pts)
+    f, fp, F, S = _sample(d, grid)
     base = f * f / np.minimum(F, S)
     if idx.s_star == 1.0:
         margins = -np.abs(fp) / base
     else:
         oms = idx.one_minus_star
         unit = oms * base
-        hi_b = oms * f * f / F
-        lo_b = -oms * f * f / S
+        lo_b, hi_b = _corridor(oms, f, F, S)
         margins = np.minimum((hi_b - fp) / unit, (fp - lo_b) / unit)
     i = int(np.argmin(margins))
     margin = float(margins[i])
     if margin >= -tol:
         return Certificate("pass", "deriv_ineq_iv", None, margin, grid, tol)
-    return Certificate("fail", "deriv_ineq_iv", float(pts[i]), margin, grid, tol)
+    witness = float(grid.points[i])
+    return Certificate("fail", "deriv_ineq_iv", witness, margin, grid, tol)
 
 
 def check_condition_iii(d: Distribution, s: float, grid: Grid,
@@ -323,10 +352,10 @@ def check_condition_iii(d: Distribution, s: float, grid: Grid,
     relative-slack semantics to first order.
     """
     idx = to_index(s)
-    pts = grid.points
-    log_f = np.log(_density(d, pts))
-    lt = log_f + (idx.s_star - 1.0) * np.log(d.sf(pts))
-    lh = log_f + (idx.s_star - 1.0) * np.log(d.cdf(pts))
+    f, _, F, S = _sample(d, grid)
+    log_f = np.log(f)
+    lt = log_f + (idx.s_star - 1.0) * np.log(S)
+    lh = log_f + (idx.s_star - 1.0) * np.log(F)
     up = lt[1:] - lt[:-1]
     down = lh[:-1] - lh[1:]
     margins = np.minimum(up, down)
@@ -334,7 +363,7 @@ def check_condition_iii(d: Distribution, s: float, grid: Grid,
     margin = float(margins[i])
     if margin >= -tol:
         return Certificate("pass", "hazard_mono_iii", None, margin, grid, tol)
-    witness = (float(pts[i]), float(pts[i + 1]))
+    witness = (float(grid.points[i]), float(grid.points[i + 1]))
     return Certificate("fail", "hazard_mono_iii", witness, margin, grid, tol)
 
 
@@ -388,23 +417,24 @@ def check_midpoint(d: Distribution, s: float, grid: Grid,
     (1-F)((x+y)/2) >= M_{s*}(1-F(x), 1-F(y); 1/2), up to slack ``tol``
     relative to the pair's mean M: the margins are F(m)/M - 1 and
     (1-F)(m)/M - 1, so a deficit deep in a tail counts as much as one in
-    the body.  M is formed in log space from log F and log(1-F), taken once
-    per grid point; both are finite, as every grid point lies inside J(F).
+    the body.  M is formed in log space from the logs of the grid's F and
+    1-F; both are finite, as every grid point lies inside J(F).
     For every s the two inequalities together are equivalent to the
     convexity/concavity statements of the definition; for s > 0 all grid
     pairs already lie inside the one-sided domains, so no pair is excluded.
     """
     idx = to_index(s)
+    _, _, F, S = _sample(d, grid)
     pts = grid.points
     i, j = _midpoint_pairs(grid.count)
     mid = 0.5 * (pts[i] + pts[j])
 
-    def deficit(tail):
-        log_tail = np.log(tail(pts))
+    def deficit(sampled, tail):
+        log_tail = np.log(sampled)
         mean = np.exp(_log_mid_mean(log_tail[i], log_tail[j], idx.s_star))
         return tail(mid) / mean - 1.0
 
-    margins = np.minimum(deficit(d.cdf), deficit(d.sf))
+    margins = np.minimum(deficit(F, d.cdf), deficit(S, d.sf))
     margin = float(margins.min())
     if margin >= -tol:
         return Certificate("pass", "midpoint_def", None, margin, grid, tol)
@@ -431,7 +461,7 @@ def max_s(d: Distribution, lo: float, hi: float, grid: Grid | None = None,
         raise DomainError(f"bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if grid is None:
         grid = make_grid(d)
-    f, fp, F, S = _fields(d, grid.points)
+    f, fp, F, S = _sample(d, grid)
     slope = fp / (f * f)
     slack = check_tol / np.minimum(F, S)
     kappa = float(np.max(np.maximum(slope / (1.0 / F + slack),

@@ -161,8 +161,8 @@ def test_criterion_02_gamma_normal():
     # grid reaching mass 1e-290 (x ~ -36.4) resolves it within 1e-3 while
     # staying inside double-precision range
     d = Normal()
-    pts = d.quantile(np.linspace(1e-290, 0.5, 2000))
-    rep = cr_report(d, 0.0, Grid(points=pts, eps=1e-290))
+    grid = Grid.at_levels(d, np.linspace(1e-290, 0.5, 2000), eps=1e-290)
+    rep = cr_report(d, 0.0, grid)
     err = abs(rep.gamma - 1.0)
     ok = err <= 1e-3
     _report("02", ok, f"gamma(N(0,1)) = 1 within 1e-3, error={err:.1e}")

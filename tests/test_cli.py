@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from biscv import StudentT, catalog, cli
+from biscv import StudentT, catalog, cli, fisher, shape
 from biscv.envelope import CSV_HEADER
 from biscv.shape import cr_right
 
@@ -279,13 +279,29 @@ EVALUATORS = ("pdf", "pdf_deriv", "cdf", "sf")
 
 def test_no_job_evaluates_the_law_at_a_single_point(monkeypatch):
     # count points per call of each public evaluator, as the benchmark's
-    # catalog.eval.points does
-    calls = []
+    # catalog.eval.points does, and note every call outside make_grid on an
+    # array equal to the points of a grid already made
+    calls, grids, building = [], [], []
+    resampled = []
     for name in EVALUATORS:
         def counted(dist, x, _fn=getattr(catalog.Distribution, name)):
             calls.append(int(np.size(x)))
+            if not building and any(np.array_equal(x, g) for g in grids):
+                resampled.append(int(np.size(x)))
             return _fn(dist, x)
         monkeypatch.setattr(catalog.Distribution, name, counted)
+    real_make_grid = shape.make_grid
+
+    def tracked_make_grid(*args, **kwargs):
+        building.append(True)
+        try:
+            grid = real_make_grid(*args, **kwargs)
+        finally:
+            building.pop()
+        grids.append(grid.points)
+        return grid
+    monkeypatch.setattr(shape, "make_grid", tracked_make_grid)
+    monkeypatch.setattr(fisher, "make_grid", tracked_make_grid)
     n = 64
     g = ["--grid-points", str(n)]
     jobs = {
@@ -304,8 +320,13 @@ def test_no_job_evaluates_the_law_at_a_single_point(monkeypatch):
         code, _, err = run(*argv)
         assert code == 0 and err == "", kind
         assert all(k >= 2 for k in calls), (kind, min(calls))
+        assert resampled == [], kind
         points[kind] = sum(calls)
-    assert points["envelope"] <= 5 * n
+    # four fields per grid point, and F and 1-F at each midpoint pair's
+    # midpoint (every pair at this n)
+    assert points["check"] == 4 * n + 2 * (n * (n - 1) // 2)
+    assert points["envelope"] <= 4 * n
+    assert points["max-s"] == 4 * n
     assert points["gamma"] > 0
 
 

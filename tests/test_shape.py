@@ -21,6 +21,7 @@ from biscv import (
     TMixture,
     Uniform,
 )
+from biscv.envelope import emit_envelope_table
 from biscv.shape import (
     Grid,
     _log_mid_mean,
@@ -383,11 +384,40 @@ def test_delta_threshold_requires_r_for_tmix():
 
 def test_grid_validation():
     with pytest.raises(DomainError):
-        Grid(points=np.array([0.0, 1.0]), eps=1e-8)
+        Grid.at_levels(Normal(), np.array([0.25, 0.75]), eps=1e-8)
     with pytest.raises(DomainError):
-        Grid(points=np.array([0.0, 0.0, 1.0]), eps=1e-8)
+        Grid.at_levels(Normal(), np.array([0.25, 0.25, 0.75]), eps=1e-8)
     with pytest.raises(DomainError):
         make_grid(StudentT(1.0), 2000, 0.5)
+
+
+def test_grid_carries_one_read_only_sample_of_its_law():
+    d = NormalMixture(1.5)
+    g = make_grid(d, 64, 1e-6)
+    assert g.law == d
+    for got, evaluator in ((g.f, d.pdf), (g.fp, d.pdf_deriv), (g.F, d.cdf),
+                           (g.S, d.sf)):
+        assert np.array_equal(got, evaluator(g.points))
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    # every document embedding the grid shares one list of its points
+    assert g.to_dict()["points"] is g.to_dict()["points"]
+    assert g.to_dict()["points"] == [float(x) for x in g.points]
+
+
+@pytest.mark.parametrize("consume", [
+    lambda d, g: check_condition_iv(d, 0.0, g),
+    lambda d, g: check_condition_iii(d, 0.0, g),
+    lambda d, g: check_midpoint(d, 0.0, g),
+    lambda d, g: max_s(d, -0.9, 1.0, g),
+    lambda d, g: cr_report(d, 0.0, g),
+    lambda d, g: emit_envelope_table(d, 0.0, g),
+], ids=["iv", "iii", "midpoint", "max_s", "cr_report", "envelope_table"])
+def test_a_grid_sampled_from_another_law_is_refused(consume):
+    g = make_grid(Normal(), 64, 1e-6)
+    with pytest.raises(DomainError, match="the grid samples norm"):
+        consume(Normal(0.0, 2.0), g)
+    consume(Normal(0.0, 1.0), g)  # an equal law is the same law
 
 
 def test_grid_spans_requested_mass():
