@@ -130,9 +130,9 @@ class Grid:
     @classmethod
     def at_levels(cls, d: Distribution, p, eps: float) -> Grid:
         """The grid at the quantiles of ``d`` at levels ``p``: a DomainError
-        where a point or its squared density is not finite or the density is
-        not positive, or where there are fewer than 3 points or they do not
-        strictly increase."""
+        where a point, its squared density or the density's derivative is not
+        finite or the density is not positive, or where there are fewer than
+        3 points or they do not strictly increase."""
         points = d.quantile(p)
         with np.errstate(over="ignore"):
             f = d.pdf(points)
@@ -143,7 +143,11 @@ class Grid:
             raise DomainError("grid needs at least 3 points")
         if not np.all(np.diff(points) > 0.0):
             raise DomainError("grid points must be strictly increasing")
-        sample = (points, f, d.pdf_deriv(points), d.cdf(points), d.sf(points))
+        fp = d.pdf_deriv(points)
+        if not np.all(np.isfinite(fp)):
+            x = float(points[np.argmax(~np.isfinite(fp))])
+            raise DomainError(f"the density's derivative at x={x!r} is not finite")
+        sample = (points, f, fp, d.cdf(points), d.sf(points))
         for a in sample:
             a.setflags(write=False)
         return cls(points, eps, d, *sample[1:])

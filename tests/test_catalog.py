@@ -397,6 +397,18 @@ def test_student_t_cdf_near_zero_matches_mpmath():
     np.testing.assert_allclose(d.cdf(xs), _mp_cdf_at(d, xs), rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("cls", [StudentT, SphericalPower])
+@pytest.mark.parametrize("r", [60.0, 1e6, 1e20, 1e300, 1e308])
+def test_normalizing_constant_at_large_r_matches_mpmath(cls, r):
+    # Gamma(b + 1/2) / (Gamma(b) sqrt(pi r)), b = r/2 (t) or 1 + r/2 (gpow);
+    # a difference of two double log Gammas kept no digit of it at r = 1e20
+    with mpmath.workdps(40 + int(math.log10(r))):
+        b = mpmath.mpf(r) / 2 + (0 if cls is StudentT else 1)
+        want = mpmath.exp(mpmath.loggamma(b + mpmath.mpf(1) / 2)
+                          - mpmath.loggamma(b)) / mpmath.sqrt(mpmath.pi * r)
+    assert cls(r).normalization == pytest.approx(float(want), rel=4e-16)
+
+
 @pytest.mark.parametrize("r, xs", [(1000.0, [-3.0, -6.0, -10.0]),
                                    (100.0, [-3.0])])
 def test_student_t_cdf_tail_at_large_r_matches_mpmath(r, xs):

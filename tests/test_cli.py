@@ -93,14 +93,15 @@ def test_exit_one_on_numerical_error():
 
 @pytest.mark.parametrize("spec", ["t:r=1e308", "gpow:r=1e308",
                                   "tmix:r=1e308,delta=1"])
-def test_exit_one_when_the_normalizing_constant_overflows(spec):
+def test_exit_one_when_r_leaves_the_evaluators_range(spec):
+    # the normalizing constant holds its digits here, but the t density's
+    # derivative overflows and the gpow and tmix quantiles stop increasing
     code, out, err = run("check", "--dist", spec, "--s", "0", *FAST)
     assert code == 1
     assert err == ""
     doc = json.loads(out)
     validate(doc, "error")
     assert doc["error"]["type"] == "DomainError"
-    assert "normalizing constant" in doc["error"]["message"]
 
 
 @pytest.mark.parametrize("spec, where", [
