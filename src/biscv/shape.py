@@ -121,7 +121,7 @@ class Grid:
 
     points: np.ndarray
     eps: float
-    law: Distribution = field(compare=False, repr=False)
+    law: Distribution = field(compare=False)
     f: np.ndarray = field(compare=False, repr=False)
     fp: np.ndarray = field(compare=False, repr=False)
     F: np.ndarray = field(compare=False, repr=False)

@@ -282,8 +282,7 @@ def test_no_job_evaluates_the_law_at_a_single_point(monkeypatch):
     # count points per call of each public evaluator, as the benchmark's
     # catalog.eval.points does, and note every call outside make_grid on an
     # array equal to the points of a grid already made
-    calls, grids, building = [], [], []
-    resampled = []
+    calls, grids, building, resampled = [], [], [], []
     for name in EVALUATORS:
         def counted(dist, x, _fn=getattr(catalog.Distribution, name)):
             calls.append(int(np.size(x)))
